@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .field import F1, F2, FieldElement, field_sqrt
 from .geometry import (
@@ -32,9 +32,9 @@ from .geometry import (
     find_zero_sum_triples,
     small_circle_intersection,
 )
-from .cdcl import sat_solve_cdcl
-from .quotient import AntipodalQuotient, quotient_antipodal
-from .solver import CnfFormula
+from .flows import encode_triples
+from .quotient import antipode_map, quotient_antipodal
+from .solver import sat_solve as sat_solve_cdcl
 
 
 class ConstructionError(RuntimeError):
@@ -44,6 +44,32 @@ class ConstructionError(RuntimeError):
 def _require(cond: bool, what: str) -> None:
     if not cond:
         raise ConstructionError(f"construction self-check failed: {what}")
+
+
+def _components(
+    nodes: Iterable[int],
+    neighbours: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+) -> list[list[int]]:
+    """Connected components as sorted lists, ordered by smallest member.
+
+    ``neighbours[u]`` lists the nodes adjacent to node u.
+    """
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in neighbours[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 # -- shared exact constants ---------------------------------------------------
@@ -104,19 +130,6 @@ def icosidodecahedron_distance_pairs(ps: PointSet) -> tuple[tuple[int, int], ...
 # ---------------------------------------------------------------------------
 
 
-def _antipode_index(ps: PointSet) -> dict[int, int]:
-    """Map each point index to the index of its exact antipode."""
-    index = {p.exact: i for i, p in enumerate(ps.points)}
-    out: dict[int, int] = {}
-    for i, p in enumerate(ps.points):
-        key = tuple(-c for c in p.exact)
-        j = index.get(key)
-        if j is None:
-            raise ConstructionError(f"point {i} has no antipode in the set")
-        out[i] = j
-    return out
-
-
 def symmetric_expansion() -> PointSet:
     """Intersect all height -1/2 small-circle pairs over close vertex pairs.
 
@@ -165,21 +178,7 @@ def _partner_components(ps: PointSet, n_old: int) -> list[frozenset[int]]:
         a, b = fresh
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(c) for c in _components(adj, adj)]
 
 
 def build_first_expansion() -> PointSet:
@@ -200,7 +199,7 @@ def build_first_expansion() -> PointSet:
         len(comps) == 12 and all(len(c) == 10 for c in comps),
         "expected twelve partner components of ten points",
     )
-    anti = _antipode_index(full)
+    anti = antipode_map(full)
     first = comps[0]
     mirror = frozenset(anti[i] for i in first)
     _require(mirror in comps, "antipodal mirror must itself be a component")
@@ -218,14 +217,9 @@ def build_first_expansion() -> PointSet:
 
 def count_antipodal_pairs(ps: PointSet) -> int:
     """Number of antipodal point pairs; raises if the set is not closed."""
-    if ps.all_exact:
-        index = {p.exact: i for i, p in enumerate(ps.points)}
-        for i, p in enumerate(ps.points):
-            key = tuple(-c for c in p.exact)
-            if key not in index:
-                raise ConstructionError(f"point {i} has no antipode in the set")
-        return ps.n_points // 2
-    raise ValueError("count_antipodal_pairs expects an exact point set")
+    if not ps.all_exact:
+        raise ValueError("count_antipodal_pairs expects an exact point set")
+    return len(antipode_map(ps)) // 2
 
 
 def radius2_integer_decomposition(e: FieldElement) -> Optional[tuple[int, int, int, int]]:
@@ -356,56 +350,28 @@ def candidate_coordinates(params: SearchParams = SearchParams()) -> list[FieldEl
     return [c.exact for c in survey.kept if c.exact is not None]
 
 
-def _expand_value_triples(
-    value_triples: Sequence[tuple], build_point: Callable[[tuple], SpherePoint]
-) -> list[SpherePoint]:
-    """All permutations and sign choices of each coordinate value triple."""
-    out = []
-    for vals in value_triples:
-        perms = sorted(set(itertools.permutations(range(3))), key=lambda p: p)
-        for perm in perms:
-            arranged = tuple(vals[p] for p in perm)
-            for signs in itertools.product((1, -1), repeat=3):
-                out.append(build_point(tuple(zip(arranged, signs))))
-    return out
-
-
-def generate_candidate_points(coords: Sequence[FieldElement]) -> PointSet:
-    """Exact on-sphere points from candidate values (no triples yet).
-
-    Takes every multiset {c1, c2, c3} of candidate values with
-    c1^2 + c2^2 + c3^2 = 1 exactly and expands it through all coordinate
-    permutations and sign choices, deduplicating exactly.
-    """
-    if not coords:
-        return PointSet(())
-    one = coords[0].field.one
-    hits = [
-        (a, b, c)
-        for a, b, c in itertools.combinations_with_replacement(coords, 3)
-        if a * a + b * b + c * c == one
-    ]
-
-    def build(pairs: tuple) -> SpherePoint:
-        return SpherePoint.from_exact(tuple(v if s > 0 else -v for v, s in pairs))
-
-    return dedup_points(_expand_value_triples(hits, build))
-
-
 def generate_candidate_points_float(
     values: Sequence[float], cfg: GeometryConfig = DEFAULT_CONFIG
 ) -> PointSet:
-    """Float twin of generate_candidate_points, tolerant within epsilon."""
+    """On-sphere float points from candidate values (no triples yet).
+
+    Takes every multiset {c1, c2, c3} of candidate values with
+    c1^2 + c2^2 + c3^2 = 1 within epsilon and expands it through all
+    coordinate permutations and sign choices, merging duplicates within
+    epsilon.
+    """
     hits = [
         (a, b, c)
         for a, b, c in itertools.combinations_with_replacement(sorted(values), 3)
         if abs(a * a + b * b + c * c - 1.0) <= cfg.epsilon
     ]
-
-    def build(pairs: tuple) -> SpherePoint:
-        return SpherePoint.from_floats(*(v * s for v, s in pairs))
-
-    return dedup_points(_expand_value_triples(hits, build), cfg)
+    raw = [
+        SpherePoint.from_floats(*(vals[p] * s for p, s in zip(perm, signs)))
+        for vals in hits
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    return dedup_points(raw, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +436,12 @@ def prune_low_degree(ps: PointSet) -> tuple[PointSet, PruneReport]:
 
 def connected_components(ps: PointSet) -> list[PointSet]:
     """Components under the relation "shares a triple", largest first."""
-    n = ps.n_points
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[set[int]] = [set() for _ in range(ps.n_points)]
     for a, b, c in ps.triples:
         adj[a] |= {b, c}
         adj[b] |= {a, c}
         adj[c] |= {a, b}
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in sorted(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+    comps = _components(range(ps.n_points), adj)
     comps.sort(key=lambda c: (-len(c), c[0]))
     return [_select_points(ps, c) for c in comps]
 
@@ -505,39 +456,6 @@ def largest_connected_component(ps: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 # UNSAT-preserving minimization
 # ---------------------------------------------------------------------------
-
-
-def _block_cnf(
-    n_vars: int, constraints: Sequence[tuple], k: int
-) -> CnfFormula:
-    """CNF for one constraint block, vars already 0-based local indices.
-
-    Same slot scheme as the public encoder: variable i gets 2k boolean
-    slots for the values (-k..-1, 1..k); exactly-one per variable plus a
-    blocking clause for every slot combination whose signed sum is
-    nonzero.
-    """
-    slots = tuple(range(-k, 0)) + tuple(range(1, k + 1))
-    w = len(slots)
-    clauses: list[tuple[int, ...]] = []
-    for i in range(n_vars):
-        base = i * w
-        clauses.append(tuple(base + j + 1 for j in range(w)))
-        for j1 in range(w):
-            for j2 in range(j1 + 1, w):
-                clauses.append((-(base + j1 + 1), -(base + j2 + 1)))
-    for (v1, s1), (v2, s2), (v3, s3) in constraints:
-        b1, b2, b3 = v1 * w, v2 * w, v3 * w
-        for j1 in range(w):
-            a = s1 * slots[j1]
-            for j2 in range(w):
-                ab = a + s2 * slots[j2]
-                for j3 in range(w):
-                    if ab + s3 * slots[j3] != 0:
-                        clauses.append(
-                            (-(b1 + j1 + 1), -(b2 + j2 + 1), -(b3 + j3 + 1))
-                        )
-    return CnfFormula(n_vars * w, tuple(clauses))
 
 
 def _labeling_exists(
@@ -562,20 +480,8 @@ def _labeling_exists(
     for cid, reps in enumerate(class_reps):
         for r in reps:
             by_rep.setdefault(r, []).append(cid)
-    unvisited = set(range(q.n_classes))
-    blocks: list[list[int]] = []
-    while unvisited:
-        seed = min(unvisited)
-        stack, block = [seed], set()
-        while stack:
-            cid = stack.pop()
-            if cid in block:
-                continue
-            block.add(cid)
-            for r in class_reps[cid]:
-                stack.extend(c for c in by_rep[r] if c not in block)
-        unvisited -= block
-        blocks.append(sorted(block))
+    sharing = [{c for r in reps for c in by_rep[r]} for reps in class_reps]
+    blocks = _components(range(q.n_classes), sharing)
     blocks.sort(key=len)
     for block in blocks:
         reps = sorted({r for cid in block for r in class_reps[cid]})
@@ -587,7 +493,7 @@ def _labeling_exists(
             )
             for cid in block
         )
-        result = sat_solve_cdcl(_block_cnf(len(reps), constraints, k))
+        result = sat_solve_cdcl(encode_triples(len(reps), constraints, k))
         if not result.satisfiable:
             core = tuple(
                 ps.triples[tid] for cid in block for tid in q.triple_classes[cid]
@@ -656,18 +562,7 @@ def unsat_preserving_prune(
         raise ValueError(
             f"input admits a labeling at k={k}; nothing to preserve"
         )
-    if ps.all_exact:
-        anti = {i: j for i, j in _antipode_index(ps).items()}
-    else:
-        eps = config.epsilon
-        anti = {}
-        for i, p in enumerate(ps.points):
-            for j, qpt in enumerate(ps.points):
-                if all(abs(a + b) <= eps for a, b in zip(p.floats, qpt.floats)):
-                    anti[i] = j
-                    break
-            else:
-                raise ValueError(f"point {i} has no antipode; cannot quotient")
+    anti = antipode_map(ps, config)
 
     alive_points = set(range(ps.n_points))
     alive_triples = list(ps.triples)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .oracle import CspProblem, OrientedTriple, csp_solve
 from .quotient import AntipodalQuotient
-from .solver import CnfFormula, SatResult, sat_solve
+from .solver import CnfFormula, sat_solve
 
 __all__ = [
     "FlowInstance",
@@ -26,6 +26,7 @@ __all__ = [
     "decode_witness",
     "dedup_mirror_triples",
     "encode_nzk",
+    "encode_triples",
     "expected_clause_count",
     "min_flow_number",
     "min_mod_flow_number",
@@ -89,15 +90,16 @@ def expected_clause_count(n_reps: int, n_triples: int, k: int) -> int:
     )
 
 
-def encode_nzk(inst: FlowInstance) -> CnfFormula:
-    """CNF for the labeling problem; clause order is deterministic.
+def encode_triples(
+    n_reps: int, triples: Sequence[OrientedTriple], k: int
+) -> CnfFormula:
+    """CNF for labeling n_reps reps under the oriented triples, bound k.
 
-    Variable i*2k + j + 1 asserts rep i takes value_slots(k)[j].  Per
+    Clause order is deterministic.  Variable i*2k + j + 1 asserts rep i takes value_slots(k)[j].  Per
     rep: one at-least-one clause then the pairwise at-most-one clauses;
     per oriented triple: a 3-literal blocking clause for every ordered
     value combination whose signed sum is nonzero.
     """
-    k = inst.k
     slots = value_slots(k)
     two_k = len(slots)
 
@@ -105,13 +107,13 @@ def encode_nzk(inst: FlowInstance) -> CnfFormula:
         return rep * two_k + slot + 1
 
     clauses: list[tuple[int, ...]] = []
-    for rep in range(inst.n_reps):
+    for rep in range(n_reps):
         clauses.append(tuple(var(rep, j) for j in range(two_k)))
         for j1 in range(two_k):
             for j2 in range(j1 + 1, two_k):
                 clauses.append((-var(rep, j1), -var(rep, j2)))
     z_k = count_zero_sum_values(k)
-    for triple in inst.triples:
+    for triple in triples:
         (r1, s1), (r2, s2), (r3, s3) = triple
         blocked = 0
         for j1, v1 in enumerate(slots):
@@ -129,13 +131,18 @@ def encode_nzk(inst: FlowInstance) -> CnfFormula:
             raise AssertionError(
                 f"sign-adjusted block count {blocked} != {two_k**3 - z_k}"
             )
-    formula = CnfFormula(num_vars=inst.n_reps * two_k, clauses=tuple(clauses))
-    expected = expected_clause_count(inst.n_reps, len(inst.triples), k)
+    formula = CnfFormula(num_vars=n_reps * two_k, clauses=tuple(clauses))
+    expected = expected_clause_count(n_reps, len(triples), k)
     if formula.n_clauses != expected:
         raise AssertionError(
             f"clause count {formula.n_clauses} != closed form {expected}"
         )
     return formula
+
+
+def encode_nzk(inst: FlowInstance) -> CnfFormula:
+    """CNF for a flow instance: encode_triples over its quotient."""
+    return encode_triples(inst.n_reps, inst.triples, inst.k)
 
 
 @dataclass(frozen=True)

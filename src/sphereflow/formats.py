@@ -8,11 +8,11 @@ unit-sphere internal form losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
-from .field import FIELD_BY_TAG, FieldElement, parse_element, serialize_element
+from .field import FIELD_BY_TAG, parse_element, serialize_element
 from .geometry import PointSet, SpherePoint
 
 __all__ = [
@@ -64,11 +64,13 @@ class PointSetDocument:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"not valid JSON: {exc}") from exc
+        if not isinstance(payload, Mapping):
+            raise DocumentError("point-set document must be a JSON object")
         try:
             version = payload["schema_version"]
             if version != SCHEMA_VERSION:
                 raise DocumentError(f"unsupported schema version {version}")
-            return cls(
+            doc = cls(
                 field_tag=payload["field_tag"],
                 radius=Fraction(payload["radius"]),
                 points=tuple(payload["points"]),
@@ -78,6 +80,15 @@ class PointSetDocument:
             )
         except KeyError as exc:
             raise DocumentError(f"missing document key {exc}") from exc
+        except (TypeError, ZeroDivisionError) as exc:
+            raise DocumentError(f"malformed document: {exc}") from exc
+        if not isinstance(doc.field_tag, str):
+            raise DocumentError("field_tag must be a string")
+        if not isinstance(doc.provenance, Mapping):
+            raise DocumentError("provenance must be a JSON object")
+        if doc.radius <= 0:
+            raise DocumentError("radius must be positive")
+        return doc
 
 
 def document_from_pointset(
@@ -119,8 +130,8 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
     if doc.field_tag == "float":
         pts = []
         inv = 1.0 / float(doc.radius)
-        for entry in doc.points:
-            x, y, z = entry["floats"]
+        for i, entry in enumerate(doc.points):
+            x, y, z = _coordinates(entry, i, "floats", (int, float))
             pts.append(SpherePoint.from_floats(x * inv, y * inv, z * inv))
         return PointSet(points=tuple(pts), triples=doc.triples)
     field = FIELD_BY_TAG.get(doc.field_tag)
@@ -129,10 +140,9 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
     inv = field.from_rational(Fraction(1) / doc.radius)
     pts = []
     for i, entry in enumerate(doc.points):
-        if "exact" not in entry:
-            raise DocumentError(f"point {i} lacks exact coordinates")
-        coords = tuple(parse_element(s, field) * inv for s in entry["exact"])
-        shadows = entry["floats"]
+        exact = _coordinates(entry, i, "exact", str)
+        shadows = _coordinates(entry, i, "floats", (int, float))
+        coords = tuple(parse_element(s, field) * inv for s in exact)
         for c, s in zip(coords, shadows):
             if abs(c.to_float() * float(doc.radius) - s) > FLOAT_SHADOW_TOLERANCE:
                 raise DocumentError(
@@ -140,6 +150,22 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
                 )
         pts.append(SpherePoint.from_exact(coords))
     return PointSet(points=tuple(pts), triples=doc.triples)
+
+
+def _coordinates(entry: Any, i: int, key: str, kind: Any) -> list:
+    """The three coordinates stored under key in point entry i."""
+    if not isinstance(entry, Mapping):
+        raise DocumentError(f"point {i} is not a JSON object")
+    if key not in entry:
+        raise DocumentError(f"point {i} lacks {key} coordinates")
+    coords = entry[key]
+    if not (
+        isinstance(coords, (list, tuple))
+        and len(coords) == 3
+        and all(isinstance(c, kind) for c in coords)
+    ):
+        raise DocumentError(f"point {i} has malformed {key} coordinates")
+    return coords
 
 
 def save_document(doc: PointSetDocument, path: str) -> None:

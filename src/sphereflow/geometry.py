@@ -10,9 +10,9 @@ drive searches whose intermediate values leave the field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .field import FieldElement, Rational, field_sqrt
 
@@ -89,10 +89,6 @@ class SpherePoint:
         return SpherePoint(exact=None, floats=tuple(_clean(-v) for v in self.floats))  # type: ignore[arg-type]
 
 
-def antipode(p: SpherePoint) -> SpherePoint:
-    return p.antipode()
-
-
 Triple = tuple[int, int, int]
 
 
@@ -107,7 +103,11 @@ class PointSet:
     def __post_init__(self) -> None:
         n = len(self.points)
         for t in self.triples:
-            if len(t) != 3 or len(set(t)) != 3 or not all(0 <= i < n for i in t):
+            if (
+                len(t) != 3
+                or len(set(t)) != 3
+                or not all(isinstance(i, int) and 0 <= i < n for i in t)
+            ):
                 raise ValueError(f"malformed triple {t}")
 
     @property
@@ -129,14 +129,8 @@ class PointSet:
         return deg
 
 
-def to_float_pointset(ps: PointSet) -> PointSet:
-    """Drop exact coordinates, keeping float shadows and triples."""
-    pts = tuple(SpherePoint(exact=None, floats=p.floats) for p in ps.points)
-    return PointSet(pts, ps.triples, ps.diagnostics)
-
-
 # ---------------------------------------------------------------------------
-# dot products and basic predicates
+# dot products
 # ---------------------------------------------------------------------------
 
 
@@ -150,44 +144,6 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 def float_dot(p: SpherePoint, q: SpherePoint) -> float:
     a, b = p.floats, q.floats
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-TargetValue = Union[FieldElement, Fraction, int, float]
-
-
-def spherical_distance_is(
-    p: SpherePoint,
-    q: SpherePoint,
-    target_cos: TargetValue,
-    cfg: GeometryConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Whether the angle between p and q has the given cosine."""
-    if p.is_exact and q.is_exact and not isinstance(target_cos, float):
-        d = exact_dot(p, q)
-        if isinstance(target_cos, FieldElement):
-            return d == target_cos
-        return d == d.field.from_rational(target_cos)
-    t = target_cos.to_float() if isinstance(target_cos, FieldElement) else float(target_cos)
-    return abs(float_dot(p, q) - t) <= cfg.epsilon
-
-
-def is_equidistant_great_circle(
-    a: SpherePoint,
-    b: SpherePoint,
-    c: SpherePoint,
-    cfg: GeometryConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Whether three unit points are pairwise at dot -1/2.
-
-    For unit vectors this is equivalent to a + b + c = 0: the three
-    points then lie 120 degrees apart on a common great circle.
-    """
-    half = Fraction(-1, 2)
-    return (
-        spherical_distance_is(a, b, half, cfg)
-        and spherical_distance_is(b, c, half, cfg)
-        and spherical_distance_is(a, c, half, cfg)
-    )
 
 
 # ---------------------------------------------------------------------------

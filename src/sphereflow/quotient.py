@@ -9,7 +9,7 @@ sign.  Shared representatives between triples induce small cubic graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import DEFAULT_CONFIG, GeometryConfig, PointSet, SpherePoint
 
@@ -17,6 +17,7 @@ __all__ = [
     "AntipodalQuotient",
     "QuotientGraph",
     "StructureError",
+    "antipode_map",
     "classify_edge_orbits",
     "extract_cubic_graph",
     "is_isomorphic_to",
@@ -66,27 +67,38 @@ class AntipodalQuotient:
         return self.reps_of_triple(self.triple_classes[class_id][0])
 
 
-def _antipode_map(ps: PointSet, config: GeometryConfig) -> dict[int, int]:
+def antipode_map(
+    ps: PointSet, config: GeometryConfig = DEFAULT_CONFIG
+) -> dict[int, int]:
+    """Map each point index to the index of its antipode in the set.
+
+    Exact point sets match by hashing the negated coordinates.  Float
+    point sets take the first index within epsilon of the negation in
+    every coordinate.  Raises StructureError when a point has none.
+    """
     if ps.all_exact:
         index = {p.exact: i for i, p in enumerate(ps.points)}
-        out = {}
-        for i, p in enumerate(ps.points):
-            j = index.get(tuple(-c for c in p.exact))
-            if j is None:
-                raise StructureError(f"point {i} has no antipode in the set")
-            out[i] = j
-        return out
-    eps = config.epsilon
+
+        def find(p: SpherePoint) -> Optional[int]:
+            return index.get(tuple(-c for c in p.exact))
+
+    else:
+        eps = config.epsilon
+        floats = [p.floats for p in ps.points]
+
+        def find(p: SpherePoint) -> Optional[int]:
+            px, py, pz = p.floats
+            for j, (qx, qy, qz) in enumerate(floats):
+                if abs(px + qx) <= eps and abs(py + qy) <= eps and abs(pz + qz) <= eps:
+                    return j
+            return None
+
     out = {}
     for i, p in enumerate(ps.points):
-        px, py, pz = p.floats
-        for j, q in enumerate(ps.points):
-            qx, qy, qz = q.floats
-            if abs(px + qx) <= eps and abs(py + qy) <= eps and abs(pz + qz) <= eps:
-                out[i] = j
-                break
-        else:
+        j = find(p)
+        if j is None:
             raise StructureError(f"point {i} has no antipode in the set")
+        out[i] = j
     return out
 
 
@@ -114,7 +126,7 @@ def quotient_antipodal(
     original index of their pair, so the quotient is deterministic for a
     fixed point order.
     """
-    anti = _antipode_map(ps, config)
+    anti = antipode_map(ps, config)
     for i, j in anti.items():
         if i == j:
             raise StructureError(f"point {i} is its own antipode")

@@ -1,9 +1,9 @@
-"""The pruning loop's name for the SAT engine.
+"""The conflict-learning SAT engine, as the pruning loop calls it.
 
-``sat_solve_cdcl`` is ``solver.sat_solve`` under another name, so these
-tests cross-check it against engine-free references: exhaustive
-enumeration on random formulas and the CSP backtracking oracle on the
-labeling encodings.
+``constructions.sat_solve_cdcl`` is ``solver.sat_solve`` under another
+name, so these tests cross-check that one engine against engine-free
+references: exhaustive enumeration on random formulas and the CSP
+backtracking oracle on the labeling encodings.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 import sphereflow.constructions as constructions
-from sphereflow.cdcl import sat_solve_cdcl
 from sphereflow.flows import FlowInstance, backtrack_search, encode_nzk
 from sphereflow.solver import CnfFormula, check_model, sat_solve
 
@@ -19,15 +18,14 @@ from test_solver import brute_force_sat, random_formula
 
 
 def test_prune_calls_the_one_solver_engine():
-    assert sat_solve_cdcl is sat_solve
     assert constructions.sat_solve_cdcl is sat_solve
 
 
 def test_trivial_cases():
-    assert sat_solve_cdcl(CnfFormula(num_vars=0, clauses=())).satisfiable
-    res = sat_solve_cdcl(CnfFormula(num_vars=2, clauses=((1,), (-1, 2))))
+    assert sat_solve(CnfFormula(num_vars=0, clauses=())).satisfiable
+    res = sat_solve(CnfFormula(num_vars=2, clauses=((1,), (-1, 2))))
     assert res.satisfiable and set(res.model) == {1, 2}
-    res = sat_solve_cdcl(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
+    res = sat_solve(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
     assert not res.satisfiable and res.model is None
 
 
@@ -35,7 +33,7 @@ def test_cdcl_agrees_with_dpll_on_random_formulas():
     rng = random.Random(99)
     for _ in range(400):
         f = random_formula(rng, max_vars=8)
-        a = sat_solve_cdcl(f)
+        a = sat_solve(f)
         assert a.satisfiable == brute_force_sat(f)
         if a.satisfiable:
             assert check_model(f, a.model)
@@ -45,15 +43,15 @@ def test_cdcl_agrees_with_brute_force():
     rng = random.Random(4242)
     for _ in range(150):
         f = random_formula(rng, max_vars=6)
-        assert sat_solve_cdcl(f).satisfiable == brute_force_sat(f)
+        assert sat_solve(f).satisfiable == brute_force_sat(f)
 
 
 def test_cdcl_is_deterministic():
     rng = random.Random(31337)
     for _ in range(30):
         f = random_formula(rng, max_vars=10)
-        first = sat_solve_cdcl(f)
-        second = sat_solve_cdcl(f)
+        first = sat_solve(f)
+        second = sat_solve(f)
         assert first == second
 
 
@@ -61,7 +59,7 @@ def test_cdcl_on_labeling_encodings(icosi_q):
     for k, expected in ((3, False), (4, True)):
         inst = FlowInstance(icosi_q, k)
         formula = encode_nzk(inst)
-        res = sat_solve_cdcl(formula)
+        res = sat_solve(formula)
         assert res.satisfiable == expected
         if res.satisfiable:
             assert check_model(formula, res.model)
@@ -82,4 +80,4 @@ def test_cdcl_exercises_restarts():
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-var(p1, h), -var(p2, h)))
     f = CnfFormula(num_vars=pigeons * holes, clauses=tuple(clauses))
-    assert not sat_solve_cdcl(f).satisfiable
+    assert not sat_solve(f).satisfiable

@@ -288,6 +288,47 @@ def test_missing_document_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: [],
+        lambda doc: "x",
+        lambda doc: {**doc, "points": [3]},
+        lambda doc: {**doc, "triples": [5]},
+        lambda doc: {**doc, "triples": [["a", "b", "c"]]},
+        lambda doc: {**doc, "points": [{"exact": p["exact"]} for p in doc["points"]]},
+        lambda doc: {**doc, "radius": "0"},
+        lambda doc: {**doc, "radius": "1/0"},
+        lambda doc: {**doc, "field_tag": []},
+        lambda doc: {**doc, "provenance": 5},
+    ],
+    ids=[
+        "list",
+        "string",
+        "point-not-object",
+        "triple-not-list",
+        "triple-of-strings",
+        "no-floats",
+        "zero-radius",
+        "infinite-radius",
+        "field-tag-not-string",
+        "provenance-not-object",
+    ],
+)
+def test_malformed_document_is_a_one_line_error(
+    mutate, icosi_doc, tmp_path, capsys
+):
+    with open(icosi_doc) as fh:
+        doc = json.load(fh)
+    path = str(tmp_path / "malformed.json")
+    with open(path, "w") as fh:
+        json.dump(mutate(doc), fh)
+    assert main(["verify", path, "-k", "3"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing required arguments

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphereflow.field import F1
 from sphereflow.geometry import PointSet, SpherePoint
 from sphereflow.quotient import (
     QuotientGraph,
     StructureError,
+    antipode_map,
     classify_edge_orbits,
     extract_cubic_graph,
     is_isomorphic_to,
@@ -97,9 +99,24 @@ def test_isomorphism_rejects_large_graphs():
 
 
 def test_quotient_requires_antipodal_closure():
-    lone = PointSet((SpherePoint.from_floats(0.0, 0.0, 1.0),))
-    with pytest.raises(StructureError, match="no antipode"):
-        quotient_antipodal(lone)
+    for pole in (
+        SpherePoint.from_floats(0.0, 0.0, 1.0),
+        SpherePoint.from_exact((F1.zero, F1.zero, F1.one)),
+    ):
+        with pytest.raises(StructureError, match="no antipode"):
+            quotient_antipodal(PointSet((pole,)))
+
+
+@pytest.mark.parametrize("name", ["icosi", "ce1", "ce2"])
+def test_antipode_map_agrees_across_modes(name, request):
+    ps = request.getfixturevalue(name)
+    if name == "ce2":
+        ps = ps.final
+    shadows = PointSet(
+        tuple(SpherePoint.from_floats(*p.floats) for p in ps.points), ps.triples
+    )
+    assert ps.all_exact and not shadows.all_exact
+    assert antipode_map(shadows) == antipode_map(ps)
 
 
 def test_quotient_rejects_triple_through_antipodal_pair():
