@@ -13,7 +13,6 @@ at bound 4), and two 50- and 36-point configurations that are not
 from .constructions import (
     CandidateSurvey,
     ConstructionError,
-    SearchParams,
     SecondConstruction,
     build_first_expansion,
     build_icosidodecahedron,
@@ -84,7 +83,6 @@ __all__ = [
     "Rational",
     "RunReport",
     "SatResult",
-    "SearchParams",
     "SecondConstruction",
     "SpherePoint",
     "StructureError",

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constructions import (
+    SURVEY_PARAMETERS,
     ConstructionError,
-    SearchParams,
     build_first_expansion,
     build_icosidodecahedron,
     build_second_counterexample,
@@ -183,9 +183,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.name == "ce1":
         ps = build_first_expansion()
     else:
-        params = SearchParams(v1=args.v1, v2=args.v2, w=args.w)
-        parameters = {"v1": params.v1, "v2": params.v2, "w": params.w}
-        ps = build_second_counterexample(params, config).final
+        parameters = SURVEY_PARAMETERS
+        ps = build_second_counterexample(config).final
     ps = _apply_mode(ps, args.mode)
     doc = document_from_pointset(
         ps,
@@ -427,9 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="export radius (default 1)",
     )
-    p.add_argument("--v1", type=int, default=1, help="ce2 survey: first radicand")
-    p.add_argument("--v2", type=int, default=3, help="ce2 survey: second radicand")
-    p.add_argument("--w", type=int, default=2, help="ce2 survey: max |weight|")
     _add_common_flags(p)
     p.set_defaults(func=cmd_construct)
 

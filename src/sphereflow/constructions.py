@@ -253,17 +253,10 @@ def radius2_integer_decomposition(e: FieldElement) -> Optional[tuple[int, int, i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Candidate-coordinate search grid: |w1*sqrt(v1) + w2*sqrt(v2)|/2."""
-
-    v1: int = 1
-    v2: int = 3
-    w: int = 2
-
-    def __post_init__(self) -> None:
-        if self.v1 <= 0 or self.v2 <= 0 or self.w <= 0:
-            raise ValueError("search parameters must be positive")
+# The survey grid c = |w1*sqrt(v1) + w2*sqrt(v2)|/2 over 0 <= w1 <= w and
+# |w2| <= w, recorded as the provenance of a ce2 document.  Only these
+# values yield the 210-point, 116-triple cloud the construction checks.
+SURVEY_PARAMETERS = {"v1": 1, "v2": 3, "w": 2}
 
 
 @dataclass(frozen=True)
@@ -283,28 +276,17 @@ class CandidateSurvey:
     dropped: tuple[str, ...]
 
 
-def _sqrt_int_in_f2(n: int) -> Optional[FieldElement]:
-    return field_sqrt(F2.from_rational(n))
+def candidate_coordinate_survey() -> CandidateSurvey:
+    """Evaluate both candidate formulas over the fixed survey grid.
 
-
-def candidate_coordinate_survey(
-    params: SearchParams = SearchParams(),
-) -> CandidateSurvey:
-    """Evaluate both candidate formulas over the (w1, w2) grid.
-
-    c_rat = |w1*sqrt(v1) + w2*sqrt(v2)|/2 is always computed exactly (the
-    defaults keep it inside Q(sqrt3)).  c_sqrt = sqrt(c_rat) is kept exact
-    when the square root exists in the field; otherwise the candidate
-    survives as a float-only value and is reported in `dropped` so the
-    final configuration can be checked against it later.  Values > 1 are
-    discarded, and the survivors are deduplicated and sorted ascending.
+    c_rat = |w1 + w2*sqrt3|/2 for 0 <= w1 <= 2 and |w2| <= 2 (the grid
+    of SURVEY_PARAMETERS) is computed exactly in Q(sqrt3).  c_sqrt =
+    sqrt(c_rat) is kept exact when the square root exists in the field;
+    otherwise the candidate survives as a float-only value and is
+    reported in `dropped` so the final configuration can be checked
+    against it later.  Values > 1 are discarded, and the survivors are
+    deduplicated and sorted ascending.
     """
-    s1 = _sqrt_int_in_f2(params.v1)
-    s2 = _sqrt_int_in_f2(params.v2)
-    if s1 is None or s2 is None:
-        raise ValueError(
-            "candidate search requires sqrt(v1) and sqrt(v2) inside the field"
-        )
     kept: list[CandidateValue] = []
     dropped: list[str] = []
     seen_exact: set[FieldElement] = set()
@@ -321,9 +303,10 @@ def candidate_coordinate_survey(
         seen_float.append(value)
         kept.append(CandidateValue(value, exact, w1, w2, kind))
 
-    for w1 in range(0, params.w + 1):
-        for w2 in range(-params.w, params.w + 1):
-            base = w1 * s1 + w2 * s2
+    w = SURVEY_PARAMETERS["w"]
+    for w1 in range(0, w + 1):
+        for w2 in range(-w, w + 1):
+            base = w1 + w2 * SQRT3
             if base.sign() < 0:
                 base = -base
             c_rat = base / 2
@@ -344,9 +327,9 @@ def candidate_coordinate_survey(
     return CandidateSurvey(tuple(kept), tuple(dropped))
 
 
-def candidate_coordinates(params: SearchParams = SearchParams()) -> list[FieldElement]:
+def candidate_coordinates() -> list[FieldElement]:
     """The exactly representable candidate coordinate values, ascending."""
-    survey = candidate_coordinate_survey(params)
+    survey = candidate_coordinate_survey()
     return [c.exact for c in survey.kept if c.exact is not None]
 
 
@@ -400,36 +383,51 @@ def _select_points(ps: PointSet, keep: Sequence[int]) -> PointSet:
     return PointSet(pts, tuple(sorted(triples)), ps.diagnostics)
 
 
-def prune_low_degree(ps: PointSet) -> tuple[PointSet, PruneReport]:
-    """Iteratively drop triples with >= 2 degree-1 members, then loose points.
+def _degree_prune(
+    points: Iterable[int],
+    triples: Sequence[Triple],
+    partner: Optional[Mapping[int, int]] = None,
+) -> tuple[list[int], list[Triple], list[tuple[int, int]]]:
+    """Drop triples with >= 2 degree-1 members, then points left unused.
 
     Each round works from a degree snapshot, removes all qualifying
-    triples simultaneously, then deletes points left with no triple.
-    Idempotent once it reports an empty round.
+    triples at once, then deletes the points no remaining triple uses.
+    With a partner map a point also stays while its partner is still
+    used, so antipodal pairs survive together.  A weak triple stays weak
+    as others go, so the surviving triples do not depend on the removal
+    order.  Returns the surviving points and triples, in input order, and
+    the (points, triples) removed in each non-empty round.
     """
-    triples = list(ps.triples)
-    alive = list(range(ps.n_points))
-    rounds = []
+    alive = list(points)
+    triples = list(triples)
+    rounds: list[tuple[int, int]] = []
     while True:
-        deg: dict[int, int] = {i: 0 for i in alive}
+        deg: dict[int, int] = dict.fromkeys(alive, 0)
         for t in triples:
             for i in t:
                 deg[i] += 1
-        new_triples = [
-            t for t in triples if sum(1 for i in t if deg[i] == 1) < 2
+        kept = [t for t in triples if sum(1 for i in t if deg[i] == 1) < 2]
+        used = {i for t in kept for i in t}
+        survivors = [
+            i
+            for i in alive
+            if i in used or (partner is not None and partner[i] in used)
         ]
-        removed_triples = len(triples) - len(new_triples)
-        # points with no remaining triple are dropped
-        used = {i for t in new_triples for i in t}
-        new_alive = [i for i in alive if i in used]
-        removed_points = len(alive) - len(new_alive)
-        if removed_triples == 0 and removed_points == 0:
-            break
-        triples, alive = new_triples, new_alive
-        rounds.append((removed_points, removed_triples))
-    kept = _select_points(
-        PointSet(ps.points, tuple(triples)), alive
-    )
+        if len(kept) == len(triples) and len(survivors) == len(alive):
+            return alive, triples, rounds
+        rounds.append((len(alive) - len(survivors), len(triples) - len(kept)))
+        alive, triples = survivors, kept
+
+
+def prune_low_degree(ps: PointSet) -> tuple[PointSet, PruneReport]:
+    """Iteratively drop triples with >= 2 degree-1 members, then loose points.
+
+    Runs ``_degree_prune`` without a partner map; the report holds one
+    (points removed, triples removed) entry per round.  Idempotent once
+    it reports an empty round.
+    """
+    alive, triples, rounds = _degree_prune(range(ps.n_points), ps.triples)
+    kept = _select_points(PointSet(ps.points, tuple(triples)), alive)
     report = PruneReport(tuple(rounds), kept.n_points, len(kept.triples))
     return kept, report
 
@@ -502,54 +500,20 @@ def _labeling_exists(
     return True, ()
 
 
-def _closure_degree_prune(
-    alive_points: set[int],
-    alive_triples: list[Triple],
-    anti: dict[int, int],
-) -> tuple[set[int], list[Triple], int, set[Triple]]:
-    """Degree-prune variant that keeps antipodal point pairs intact.
-
-    Triples with two degree-1 members are dropped as usual, but a point
-    is dropped only when its whole antipodal pair is out of triples, so
-    the surviving set stays quotientable.
-    """
-    points = set(alive_points)
-    triples = list(alive_triples)
-    removed_triples: set[Triple] = set()
-    removed_points = 0
-    while True:
-        deg: dict[int, int] = {i: 0 for i in points}
-        for t in triples:
-            for i in t:
-                deg[i] += 1
-        weak = [t for t in triples if sum(1 for i in t if deg[i] == 1) >= 2]
-        if weak:
-            removed_triples.update(weak)
-            weak_set = set(weak)
-            triples = [t for t in triples if t not in weak_set]
-            continue
-        dead = {
-            i for i in points if deg[i] == 0 and deg.get(anti[i], 0) == 0
-        }
-        if not dead:
-            break
-        removed_points += len(dead)
-        points -= dead
-    return points, triples, removed_points, removed_triples
-
-
 def unsat_preserving_prune(
     ps: PointSet, k: int, config: GeometryConfig = DEFAULT_CONFIG
 ) -> tuple[PointSet, PruneReport]:
     """Greedily shrink a refuting configuration, keeping it refuting.
 
     Triples are attempted for removal once each, in construction order.
-    A candidate step removes the triple, re-applies the degree prune,
-    and is committed only when no k-bounded labeling exists afterwards.
-    One refuted constraint block is cached: steps that do not touch it
-    are committed without a fresh search.  A single pass is locally
-    minimal because constraint removal can only enlarge the solution
-    set, so a rejected removal stays rejected.
+    A candidate step removes the triple, re-applies the degree prune with
+    the antipode map as partner map (so every surviving point keeps its
+    antipode and the set stays quotientable), and is committed only when
+    no k-bounded labeling exists afterwards.  One refuted constraint
+    block is cached: steps that do not touch it are committed without a
+    fresh search.  A single pass is locally minimal because constraint
+    removal can only enlarge the solution set, so a rejected removal
+    stays rejected.
 
     A trailing pass drops antipodal mirror duplicates among the
     surviving triples: a triple and its mirror impose the same quotient
@@ -564,39 +528,29 @@ def unsat_preserving_prune(
         )
     anti = antipode_map(ps, config)
 
-    alive_points = set(range(ps.n_points))
+    alive_points = list(range(ps.n_points))
     alive_triples = list(ps.triples)
     core_set = set(core)
     rounds: list[tuple[int, int]] = []
 
-    def materialize(points: set[int], triples: Sequence[Triple]) -> tuple[PointSet, list[int]]:
-        keep = sorted(points)
-        remap = {old: new for new, old in enumerate(keep)}
-        sub = PointSet(
-            tuple(ps.points[i] for i in keep),
-            tuple(tuple(sorted(remap[i] for i in t)) for t in triples),
-        )
-        return sub, keep
-
-    for candidate in list(ps.triples):
-        if candidate not in set(alive_triples):
+    for candidate in ps.triples:
+        if candidate not in alive_triples:
             continue
-        trial_triples = [t for t in alive_triples if t != candidate]
-        trial_points, trial_triples, n_rp, cascaded = _closure_degree_prune(
-            alive_points, trial_triples, anti
+        trial_points, trial_triples, trial_rounds = _degree_prune(
+            alive_points, [t for t in alive_triples if t != candidate], anti
         )
-        removed = {candidate} | cascaded
+        removed = set(alive_triples) - set(trial_triples)
         if removed & core_set:
-            sub, keep = materialize(trial_points, trial_triples)
+            sub = _select_points(ps.with_triples(trial_triples), trial_points)
             sat, sub_core = _labeling_exists(sub, k, config)
             if sat:
                 continue
             core_set = {
-                tuple(sorted(keep[i] for i in t)) for t in sub_core
+                tuple(sorted(trial_points[i] for i in t)) for t in sub_core
             }
         alive_points = trial_points
         alive_triples = trial_triples
-        rounds.append((n_rp, len(removed)))
+        rounds.append((sum(p for p, _ in trial_rounds), len(removed)))
 
     seen: set[Triple] = set()
     deduped: list[Triple] = []
@@ -607,9 +561,8 @@ def unsat_preserving_prune(
             continue
         seen.add(t)
         deduped.append(t)
-    alive_triples = deduped
 
-    final, keep = materialize(alive_points, alive_triples)
+    final = _select_points(ps.with_triples(deduped), alive_points)
     sat, _ = _labeling_exists(final, k, config)
     _require(not sat, "pruned configuration must stay unlabelable")
     report = PruneReport(tuple(rounds), final.n_points, len(final.triples))
@@ -702,7 +655,6 @@ class SecondConstruction:
 
 
 def build_second_counterexample(
-    params: SearchParams = SearchParams(),
     config: GeometryConfig = DEFAULT_CONFIG,
 ) -> SecondConstruction:
     """Search, prune and exactify the second refuting configuration.
@@ -714,7 +666,7 @@ def build_second_counterexample(
     Every stage is deterministic, so the outcome is reproducible bit for
     bit; the stage invariants below pin the expected shape.
     """
-    survey = candidate_coordinate_survey(params)
+    survey = candidate_coordinate_survey()
     cloud = generate_candidate_points_float(
         [c.value for c in survey.kept], config
     )

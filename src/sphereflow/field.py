@@ -15,6 +15,7 @@ idempotent).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -290,15 +291,6 @@ class QuarticField:
         else:
             self._hi = mid
 
-    def refined_interval(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        steps = 0
-        while self._hi - self._lo > max_width:
-            self._refine_once()
-            steps += 1
-            if steps > _MAX_REFINE_STEPS:
-                raise RuntimeError("root refinement failed to converge")
-        return self._lo, self._hi
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -327,9 +319,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
     # -- ring operations -------------------------------------------------------
 
@@ -466,22 +455,13 @@ class FieldElement:
                 raise RuntimeError("sign refinement failed to converge")
         return 1 if elo > 0 else -1
 
-    def to_float(self, precision: int = 64) -> float:
-        """Real embedding within 2**-precision (plus one double rounding)."""
-        elo, ehi = self._interval(Fraction(1, 2**precision))
+    def to_float(self) -> float:
+        """Real embedding within 2**-64 (plus one double rounding)."""
+        elo, ehi = self._interval(Fraction(1, 2**64))
         return float((elo + ehi) / 2)
 
     def __abs__(self) -> "FieldElement":
         return -self if self.sign() < 0 else self
-
-    def sqrt(self) -> Optional["FieldElement"]:
-        """The non-negative square root if it lies in this field, else None.
-
-        Implemented for biquadratic minimal polynomials t^4 + p*t^2 + q
-        (both built-in fields qualify): the field is a quadratic tower
-        Q < Q(t^2) < Q(t), so square roots reduce to rational ones.
-        """
-        return field_sqrt(self)
 
     def __repr__(self) -> str:
         c = self.coeffs
@@ -609,11 +589,24 @@ def serialize_element(a: FieldElement) -> str:
     return ",".join(f"{c.numerator}/{c.denominator}" for c in a.coeffs)
 
 
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or numerator/denominator; ValueError for anything else."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_element(text: str, field: QuarticField) -> FieldElement:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected 4 comma-separated rationals, got {text!r}")
-    return field.element(*(Fraction(p.strip()) for p in parts))
+    return field.element(*(parse_rational(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------

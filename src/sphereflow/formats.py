@@ -8,11 +8,12 @@ unit-sphere internal form losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
-from .field import FIELD_BY_TAG, parse_element, serialize_element
+from .field import FIELD_BY_TAG, parse_element, parse_rational, serialize_element
 from .geometry import PointSet, SpherePoint
 
 __all__ = [
@@ -60,19 +61,14 @@ class PointSetDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "PointSetDocument":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"not valid JSON: {exc}") from exc
-        if not isinstance(payload, Mapping):
-            raise DocumentError("point-set document must be a JSON object")
+        payload = _json_object(text, "point-set document")
         try:
             version = payload["schema_version"]
             if version != SCHEMA_VERSION:
                 raise DocumentError(f"unsupported schema version {version}")
             doc = cls(
                 field_tag=payload["field_tag"],
-                radius=Fraction(payload["radius"]),
+                radius=_radius(payload["radius"]),
                 points=tuple(payload["points"]),
                 triples=tuple(tuple(t) for t in payload["triples"]),
                 provenance=payload["provenance"],
@@ -80,15 +76,38 @@ class PointSetDocument:
             )
         except KeyError as exc:
             raise DocumentError(f"missing document key {exc}") from exc
-        except (TypeError, ZeroDivisionError) as exc:
+        except TypeError as exc:
             raise DocumentError(f"malformed document: {exc}") from exc
         if not isinstance(doc.field_tag, str):
             raise DocumentError("field_tag must be a string")
         if not isinstance(doc.provenance, Mapping):
             raise DocumentError("provenance must be a JSON object")
-        if doc.radius <= 0:
-            raise DocumentError("radius must be positive")
         return doc
+
+
+def _json_object(text: str, what: str) -> Mapping:
+    """Parse text as a JSON object, raising DocumentError otherwise."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError(f"{what} is nested too deeply") from None
+    if not isinstance(payload, Mapping):
+        raise DocumentError(f"{what} must be a JSON object")
+    return payload
+
+
+def _radius(value: Any) -> Fraction:
+    """A positive radius whose float is finite and nonzero."""
+    try:
+        radius = parse_rational(value) if isinstance(value, str) else Fraction(value)
+        scale = float(radius)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"malformed radius {value!r}: {exc}") from None
+    if not scale > 0:
+        raise DocumentError("radius must be positive within float range")
+    return radius
 
 
 def document_from_pointset(
@@ -131,7 +150,7 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
         pts = []
         inv = 1.0 / float(doc.radius)
         for i, entry in enumerate(doc.points):
-            x, y, z = _coordinates(entry, i, "floats", (int, float))
+            x, y, z = _float_shadows(entry, i)
             pts.append(SpherePoint.from_floats(x * inv, y * inv, z * inv))
         return PointSet(points=tuple(pts), triples=doc.triples)
     field = FIELD_BY_TAG.get(doc.field_tag)
@@ -141,8 +160,11 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
     pts = []
     for i, entry in enumerate(doc.points):
         exact = _coordinates(entry, i, "exact", str)
-        shadows = _coordinates(entry, i, "floats", (int, float))
-        coords = tuple(parse_element(s, field) * inv for s in exact)
+        shadows = _float_shadows(entry, i)
+        try:
+            coords = tuple(parse_element(s, field) * inv for s in exact)
+        except ValueError as exc:
+            raise DocumentError(f"point {i}: {exc}") from None
         for c, s in zip(coords, shadows):
             if abs(c.to_float() * float(doc.radius) - s) > FLOAT_SHADOW_TOLERANCE:
                 raise DocumentError(
@@ -162,10 +184,22 @@ def _coordinates(entry: Any, i: int, key: str, kind: Any) -> list:
     if not (
         isinstance(coords, (list, tuple))
         and len(coords) == 3
-        and all(isinstance(c, kind) for c in coords)
+        and all(isinstance(c, kind) and not isinstance(c, bool) for c in coords)
     ):
         raise DocumentError(f"point {i} has malformed {key} coordinates")
     return coords
+
+
+def _float_shadows(entry: Any, i: int) -> list[float]:
+    """The three finite float coordinates of point entry i."""
+    coords = _coordinates(entry, i, "floats", (int, float))
+    try:
+        floats = [float(c) for c in coords]
+        if all(map(math.isfinite, floats)):
+            return floats
+    except OverflowError:
+        pass
+    raise DocumentError(f"point {i} has non-finite floats coordinates")
 
 
 def save_document(doc: PointSetDocument, path: str) -> None:
@@ -261,18 +295,18 @@ class WitnessDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessDocument":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"witness is not valid JSON: {exc}") from exc
-        if not isinstance(raw, Mapping):
-            raise DocumentError("witness document must be a JSON object")
-        try:
-            k = int(raw["k"])
-            values = tuple(int(v) for v in raw["values"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"malformed witness document: {exc}") from exc
-        return cls(k=k, values=values, instance=str(raw.get("instance", "")))
+        raw = _json_object(text, "witness document")
+        k, values = raw.get("k"), raw.get("values")
+        if not (_is_int(k) and isinstance(values, list) and all(map(_is_int, values))):
+            raise DocumentError(
+                "malformed witness document: k must be an integer and "
+                "values a list of integers"
+            )
+        return cls(k=k, values=tuple(values), instance=str(raw.get("instance", "")))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_witness(doc: WitnessDocument, path: str) -> None:

@@ -1,10 +1,11 @@
 """Unit-sphere geometry over exact field coordinates or plain floats.
 
-Every operation has two modes.  Exact mode works on points whose
-coordinates are FieldElements and decides every predicate with exact
-arithmetic.  Approximate mode works on float coordinates with a
-tolerance epsilon and exists to cross-validate the exact path (and to
-drive searches whose intermediate values leave the field).
+Detection and deduplication have two modes.  Exact mode works on
+points whose coordinates are FieldElements and decides every predicate
+with exact arithmetic.  Approximate mode works on float coordinates
+with a tolerance epsilon and exists to cross-validate the exact path
+(and to drive searches whose intermediate values leave the field).
+Small-circle intersection is exact only.
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ class SpherePoint:
     floats: FloatCoords
 
     @classmethod
-    def from_exact(cls, coords: Sequence[FieldElement], check: bool = True) -> "SpherePoint":
+    def from_exact(cls, coords: Sequence[FieldElement]) -> "SpherePoint":
         coords = tuple(coords)
         if len(coords) != 3:
             raise ValueError("three coordinates required")
-        if check:
-            norm = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
-            if norm != coords[0].field.one:
-                raise ValueError("exact point is not on the unit sphere")
+        norm = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
+        if norm != coords[0].field.one:
+            raise ValueError("exact point is not on the unit sphere")
         floats = tuple(_clean(c.to_float()) for c in coords)
         return cls(exact=coords, floats=floats)  # type: ignore[arg-type]
 
@@ -105,8 +105,8 @@ class PointSet:
         for t in self.triples:
             if (
                 len(t) != 3
-                or len(set(t)) != 3
                 or not all(isinstance(i, int) and 0 <= i < n for i in t)
+                or len(set(t)) != 3
             ):
                 raise ValueError(f"malformed triple {t}")
 
@@ -138,11 +138,6 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
     if p.exact is None or q.exact is None:
         raise ValueError("exact_dot requires exact points")
     a, b = p.exact, q.exact
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def float_dot(p: SpherePoint, q: SpherePoint) -> float:
-    a, b = p.floats, q.floats
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -248,66 +243,39 @@ def _cross_exact(a: ExactCoords, b: ExactCoords) -> ExactCoords:
 
 
 def small_circle_intersection(
-    p: SpherePoint,
-    q: SpherePoint,
-    height: Rational,
-    cfg: GeometryConfig = DEFAULT_CONFIG,
+    p: SpherePoint, q: SpherePoint, height: Rational
 ) -> tuple[SpherePoint, ...]:
-    """Unit vectors x with <x,p> = <x,q> = height, for non-parallel p, q.
+    """Unit vectors x with <x,p> = <x,q> = height, for exact non-parallel p, q.
 
-    Exact mode parameterizes the intersection line of the two planes as
+    Parameterizes the intersection line of the two planes as
     alpha*(p+q) + gamma*(p x q) and takes the discriminant's square root
     inside the field; if that root does not exist in the field the
     operation raises ExactnessError rather than falling back to floats.
     Returns 2, 1 (tangent), or 0 (disjoint) points.
     """
-    h = Fraction(height)
-    if p.is_exact and q.is_exact:
-        a, b = p.exact, q.exact
-        one = a[0].field.one
-        c = exact_dot(p, q)
-        if c == one or c == -one:
-            raise DegenerateConfigurationError("small circles around parallel points")
-        alpha = a[0].field.from_rational(h) / (one + c)
-        # |x|^2 = 2 alpha^2 (1+c) + gamma^2 (1-c^2) = 1
-        gamma2 = (one - 2 * alpha * alpha * (one + c)) / (one - c * c)
-        s = gamma2.sign()
-        if s < 0:
-            return ()
-        mid = tuple(alpha * (a[i] + b[i]) for i in range(3))
-        if s == 0:
-            return (SpherePoint.from_exact(mid),)
-        gamma = field_sqrt(gamma2)
-        if gamma is None:
-            raise ExactnessError(
-                "intersection discriminant has no square root in the field"
-            )
-        w = _cross_exact(a, b)
-        plus = tuple(mid[i] + gamma * w[i] for i in range(3))
-        minus = tuple(mid[i] - gamma * w[i] for i in range(3))
-        return (SpherePoint.from_exact(plus), SpherePoint.from_exact(minus))
-
-    eps = cfg.epsilon
-    a, b = p.floats, q.floats
-    c = float_dot(p, q)
-    if abs(abs(c) - 1.0) <= eps:
+    c = exact_dot(p, q)
+    a, b = p.exact, q.exact
+    one = c.field.one
+    if c == one or c == -one:
         raise DegenerateConfigurationError("small circles around parallel points")
-    alpha = float(h) / (1.0 + c)
-    gamma2 = (1.0 - 2.0 * alpha * alpha * (1.0 + c)) / (1.0 - c * c)
-    if gamma2 < -eps:
+    alpha = c.field.from_rational(Fraction(height)) / (one + c)
+    # |x|^2 = 2 alpha^2 (1+c) + gamma^2 (1-c^2) = 1
+    gamma2 = (one - 2 * alpha * alpha * (one + c)) / (one - c * c)
+    s = gamma2.sign()
+    if s < 0:
         return ()
     mid = tuple(alpha * (a[i] + b[i]) for i in range(3))
-    if gamma2 <= eps:
-        return (SpherePoint.from_floats(*mid),)
-    gamma = math.sqrt(gamma2)
-    w = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    if s == 0:
+        return (SpherePoint.from_exact(mid),)
+    gamma = field_sqrt(gamma2)
+    if gamma is None:
+        raise ExactnessError(
+            "intersection discriminant has no square root in the field"
+        )
+    w = _cross_exact(a, b)
     plus = tuple(mid[i] + gamma * w[i] for i in range(3))
     minus = tuple(mid[i] - gamma * w[i] for i in range(3))
-    return (SpherePoint.from_floats(*plus), SpherePoint.from_floats(*minus))
+    return (SpherePoint.from_exact(plus), SpherePoint.from_exact(minus))
 
 
 # ---------------------------------------------------------------------------

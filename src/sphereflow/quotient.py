@@ -314,17 +314,17 @@ def _is_perfect_matching(graph: QuotientGraph, reps: Iterable[int]) -> bool:
 
 
 def classify_edge_orbits(
-    q: AntipodalQuotient, n_old_points: int = 30
+    q: AntipodalQuotient
 ) -> tuple[EdgeOrbitPartition, QuotientGraph, QuotientGraph]:
     """Partition reps of the 50-point quotient by old/new triple usage.
 
     Old triple classes are those all of whose reps index antipodal pairs
-    of the first ``n_old_points`` points.  Returns the partition together
-    with the two extracted cubic graphs (old classes, new classes).  The
-    partition must have sizes (10, 10, 5) and the shared reps must form a
-    perfect matching in both graphs.
+    of the 30 icosidodecahedron vertices, which come first.  Returns the
+    partition together with the two extracted cubic graphs (old classes,
+    new classes).  The partition must have sizes (10, 10, 5) and the
+    shared reps must form a perfect matching in both graphs.
     """
-    n_old_reps = n_old_points // 2
+    n_old_reps = 15
     old_classes = [
         cid
         for cid in range(q.n_classes)

@@ -288,11 +288,18 @@ def test_missing_document_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_one_line_error(code, capsys):
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         lambda doc: [],
-        lambda doc: "x",
+        lambda doc: json.dumps("x"),
         lambda doc: {**doc, "points": [3]},
         lambda doc: {**doc, "triples": [5]},
         lambda doc: {**doc, "triples": [["a", "b", "c"]]},
@@ -301,6 +308,13 @@ def test_missing_document_is_an_error(capsys):
         lambda doc: {**doc, "radius": "1/0"},
         lambda doc: {**doc, "field_tag": []},
         lambda doc: {**doc, "provenance": 5},
+        lambda doc: {**doc, "radius": float("inf")},
+        lambda doc: {
+            **doc,
+            "points": [{**doc["points"][0], "exact": ["1/0,0/1,0/1,0/1"] * 3}],
+            "triples": [],
+        },
+        lambda doc: "[" * 100000 + "]" * 100000,
     ],
     ids=[
         "list",
@@ -313,6 +327,9 @@ def test_missing_document_is_an_error(capsys):
         "infinite-radius",
         "field-tag-not-string",
         "provenance-not-object",
+        "json-infinity-radius",
+        "zero-denominator-coordinate",
+        "deep-nesting",
     ],
 )
 def test_malformed_document_is_a_one_line_error(
@@ -320,13 +337,51 @@ def test_malformed_document_is_a_one_line_error(
 ):
     with open(icosi_doc) as fh:
         doc = json.load(fh)
+    bad = mutate(doc)
     path = str(tmp_path / "malformed.json")
     with open(path, "w") as fh:
-        json.dump(mutate(doc), fh)
-    assert main(["verify", path, "-k", "3"]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "Traceback" not in err
+        fh.write(bad if isinstance(bad, str) else json.dumps(bad))
+    _assert_one_line_error(main(["verify", path, "-k", "3"]), capsys)
+
+
+def _fractional(values):
+    # int() truncates each of these back to the stored value
+    return [v + (0.5 if v > 0 else -0.5) for v in values]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda w: {**w, "k": w["k"] + 0.9, "values": _fractional(w["values"])},
+        lambda w: {**w, "values": [str(v) for v in w["values"]]},
+        lambda w: {**w, "k": True},
+        lambda w: {**w, "values": {"1": 2}},
+        lambda w: {**w, "values": "12"},
+        lambda w: "[" * 100000 + "]" * 100000,
+    ],
+    ids=[
+        "float-numbers",
+        "string-values",
+        "bool-k",
+        "values-object",
+        "values-string",
+        "deep-nesting",
+    ],
+)
+def test_malformed_witness_is_a_one_line_error(
+    mutate, icosi_doc, tmp_path, capsys
+):
+    wpath = str(tmp_path / "w.json")
+    assert main(["verify", icosi_doc, "-k", "4", "--witness-out", wpath]) == EXIT_OK
+    with open(wpath) as fh:
+        bad = mutate(json.load(fh))
+    with open(wpath, "w") as fh:
+        fh.write(bad if isinstance(bad, str) else json.dumps(bad))
+    capsys.readouterr()
+    out = str(tmp_path / "w.svg")
+    _assert_one_line_error(
+        main(["render", icosi_doc, "--witness", wpath, "--out", out]), capsys
+    )
 
 
 def test_usage_error_exit_code():

@@ -10,7 +10,8 @@ import pytest
 
 from sphereflow.constructions import (
     ConstructionError,
-    SearchParams,
+    _degree_prune,
+    _select_points,
     build_first_expansion,
     candidate_coordinate_survey,
     candidate_coordinates,
@@ -27,6 +28,7 @@ from sphereflow.constructions import (
 )
 from sphereflow.field import F1, F2
 from sphereflow.geometry import PointSet, SpherePoint, find_zero_sum_triples
+from sphereflow.quotient import antipode_map
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,6 @@ def test_survey_default_parameters():
     assert all(abs(a - b) < 1e-12 for a, b in zip(values, expected))
 
 
-def test_survey_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        SearchParams(v1=0, v2=3, w=2)
-    with pytest.raises(ValueError):
-        candidate_coordinate_survey(SearchParams(v1=2, v2=3, w=1))
-
-
 def test_final_values_subset_of_candidates():
     exact = candidate_coordinates()
     finals = final_coordinate_values()
@@ -242,6 +237,29 @@ def test_prune_low_degree_removes_weak_triples():
     pruned, report = prune_low_degree(ps)
     assert pruned.n_points == 0
     assert report.final_points == 0 and report.final_triples == 0
+
+
+def test_degree_prune_keeps_points_whose_antipode_is_used(icosi):
+    # dropping two icosi triples cascades to a third; two points are then
+    # unused, but their antipodes still lie in triples
+    triples = [t for i, t in enumerate(icosi.triples) if i not in (0, 2)]
+    anti = antipode_map(icosi)
+    points, kept, rounds = _degree_prune(range(icosi.n_points), triples, anti)
+    used = {i for t in kept for i in t}
+    assert len(kept) == 17 and rounds == [(0, 1)]
+    assert all(i in used or anti[i] in used for i in points)
+    dropped = set(range(icosi.n_points)) - set(points)
+    assert all(anti[i] not in used for i in dropped)
+    assert any(i not in used for i in points)
+
+    # without a partner map the same triples survive, and the result is
+    # the public prune_low_degree's
+    bare_points, bare_kept, bare_rounds = _degree_prune(range(icosi.n_points), triples)
+    assert bare_kept == kept and bare_rounds == [(2, 1)]
+    assert bare_points == sorted(used)
+    pruned, report = prune_low_degree(icosi.with_triples(triples))
+    assert pruned == _select_points(icosi.with_triples(bare_kept), bare_points)
+    assert report.rounds == tuple(bare_rounds)
 
 
 def test_unsat_preserving_prune_rejects_satisfiable_input(icosi):

@@ -6,7 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphereflow.field import F1
 from sphereflow.formats import (
     DocumentError,
     PointSetDocument,
@@ -20,6 +23,7 @@ from sphereflow.formats import (
     save_witness,
 )
 from sphereflow.geometry import PointSet, SpherePoint
+from sphereflow.solver import parse_dimacs
 
 
 def test_pointset_document_round_trip_exact(icosi, tmp_path):
@@ -218,3 +222,98 @@ def test_mixed_field_export_rejected(icosi, ce2):
     mixed = PointSet((icosi.points[0], ce2.final.points[0]))
     with pytest.raises(DocumentError, match="mixed coordinate fields"):
         document_from_pointset(mixed, "bad", {})
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a malformed input may only raise DocumentError or ValueError
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet="0123456789/,-+ .eFx", max_size=24),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+def _small_document() -> dict:
+    one, zero = F1.one, F1.zero
+    pts = tuple(
+        SpherePoint.from_exact(c)
+        for c in ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    )
+    doc = document_from_pointset(PointSet(pts, ((0, 1, 2),)), "fuzz", {})
+    return json.loads(doc.to_json())
+
+
+@st.composite
+def point_set_texts(draw) -> str:
+    payload = _small_document()
+    value = draw(JSON_VALUES)
+    where = draw(st.sampled_from(["top", "point", "coordinate"]))
+    if where == "top":
+        payload[draw(st.sampled_from(sorted(payload)))] = value
+    else:
+        entry = payload["points"][draw(st.integers(0, 2))]
+        key = draw(st.sampled_from(["exact", "floats"]))
+        if where == "point":
+            entry[key] = value
+        else:
+            entry[key][draw(st.integers(0, 2))] = value
+    if draw(st.booleans()):
+        payload["field_tag"] = "float"
+    return json.dumps(payload)
+
+
+def _load_point_set(text: str) -> None:
+    pointset_from_document(PointSetDocument.from_json(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_set_texts(), st.text(max_size=40)))
+def test_point_set_loader_fuzz(text):
+    try:
+        _load_point_set(text)
+    except ValueError:  # DocumentError is a ValueError
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.dictionaries(
+            st.sampled_from(["k", "values", "instance", "schema_version"]),
+            JSON_VALUES,
+        ).map(json.dumps),
+        st.text(max_size=40),
+    )
+)
+def test_witness_loader_fuzz(text):
+    try:
+        doc = WitnessDocument.from_json(text)
+    except ValueError:
+        return
+    assert all(type(v) is int for v in (doc.k, *doc.values))
+
+
+DIMACS_TOKENS = st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-3", "x", "1.5", "-0"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.lists(DIMACS_TOKENS | st.integers(-5, 5).map(str), max_size=5).map(" ".join),
+            max_size=6,
+        ).map("\n".join),
+        st.text(max_size=40),
+    )
+)
+def test_dimacs_parser_fuzz(text):
+    try:
+        parse_dimacs(text)
+    except ValueError:
+        pass

@@ -18,7 +18,6 @@ from sphereflow.geometry import (
     exact_dot,
     find_zero_sum_triples,
     find_zero_sum_triples_brute,
-    float_dot,
 )
 
 
@@ -99,13 +98,6 @@ def test_exact_dot_on_icosi_spectrum(icosi):
         for j in range(i + 1, 8):
             v = exact_dot(icosi.points[i], icosi.points[j]).to_float()
             assert any(abs(v - ref) < 1e-12 for ref in spectrum), v
-
-
-def test_float_dot_matches_exact(icosi):
-    for i in range(0, 30, 7):
-        for j in range(0, 30, 5):
-            p, q = icosi.points[i], icosi.points[j]
-            assert abs(float_dot(p, q) - exact_dot(p, q).to_float()) < 1e-12
 
 
 def test_from_exact_rejects_off_sphere():
