@@ -44,8 +44,6 @@ from .formats import (
     save_document,
 )
 from .geometry import (
-    DEFAULT_CONFIG,
-    GeometryConfig,
     PointSet,
     SpherePoint,
     find_zero_sum_triples,
@@ -69,12 +67,10 @@ __all__ = [
     "CandidateSurvey",
     "CnfFormula",
     "ConstructionError",
-    "DEFAULT_CONFIG",
     "F1",
     "F2",
     "FieldElement",
     "FlowInstance",
-    "GeometryConfig",
     "Labeling",
     "PointSet",
     "PointSetDocument",

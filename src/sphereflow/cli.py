@@ -2,13 +2,10 @@
 
 Exit codes: 0 means the command ran to a decision (SAT and UNSAT are
 both results, not errors), 1 means failure, 2 means bad usage, 3 means
-an ``--expect`` assertion did not hold.  With ``--status-exit-codes``,
-``verify`` instead exits 10 on SAT and 20 on UNSAT so shell scripts can
-branch without parsing output.
+an ``--expect`` assertion did not hold.
 
-Global flags may also come from the environment: SPHEREFLOW_EPSILON,
-SPHEREFLOW_MODE and SPHEREFLOW_DEDUP_ANTIPODAL_TRIPLES mirror
---epsilon, --mode and --dedup-antipodal-triples; explicit flags win.
+A document is decided with exact arithmetic when every point carries
+exact coordinates and on its float coordinates otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .formats import (
     save_document,
     save_witness,
 )
-from .geometry import DEFAULT_CONFIG, GeometryConfig, PointSet, SpherePoint
+from .geometry import PointSet
 from .quotient import (
     StructureError,
     classify_edge_orbits,
@@ -67,116 +64,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_EXPECT_MISMATCH = 3
-EXIT_SAT = 10
-EXIT_UNSAT = 20
-
-_ENV_EPSILON = "SPHEREFLOW_EPSILON"
-_ENV_MODE = "SPHEREFLOW_MODE"
-_ENV_DEDUP = "SPHEREFLOW_DEDUP_ANTIPODAL_TRIPLES"
-
-_MODES = ("exact", "float", "both")
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off", ""}
-
-
-class CliError(RuntimeError):
-    """A user-facing failure with a clean one-line message."""
-
-
-def _default_epsilon() -> float:
-    raw = os.environ.get(_ENV_EPSILON)
-    if raw is None:
-        return DEFAULT_CONFIG.epsilon
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CliError(f"{_ENV_EPSILON} is not a number: {raw!r}")
-    if value <= 0:
-        raise CliError(f"{_ENV_EPSILON} must be positive, got {raw!r}")
-    return value
-
-
-def _default_mode() -> str:
-    raw = os.environ.get(_ENV_MODE)
-    if raw is None:
-        return "both"
-    if raw not in _MODES:
-        raise CliError(f"{_ENV_MODE} must be one of {_MODES}, got {raw!r}")
-    return raw
-
-
-def _default_dedup() -> bool:
-    raw = os.environ.get(_ENV_DEDUP)
-    if raw is None:
-        return False
-    low = raw.strip().lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise CliError(f"{_ENV_DEDUP} is not a boolean: {raw!r}")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="float comparison tolerance (default 1e-7 or "
-        f"${_ENV_EPSILON})",
-    )
-    p.add_argument(
-        "--mode",
-        choices=_MODES,
-        default=None,
-        help="coordinate arithmetic: exact requires exact coordinates, "
-        "float forces the epsilon route, both prefers exact when "
-        f"available (default both or ${_ENV_MODE})",
-    )
-    p.add_argument(
-        "--dedup-antipodal-triples",
-        action="store_true",
-        default=None,
-        help="drop one triple of each antipodal mirror pair before "
-        f"encoding (default off or ${_ENV_DEDUP})",
-    )
-
-
-def _resolve_common(args: argparse.Namespace) -> None:
-    if args.epsilon is None:
-        args.epsilon = _default_epsilon()
-    if args.epsilon <= 0:
-        raise CliError("--epsilon must be positive")
-    if args.mode is None:
-        args.mode = _default_mode()
-    if args.dedup_antipodal_triples is None:
-        args.dedup_antipodal_triples = _default_dedup()
-
-
-def _apply_mode(ps: PointSet, mode: str) -> PointSet:
-    if mode == "exact":
-        if not ps.all_exact:
-            raise CliError(
-                "mode=exact but the document has no exact coordinates"
-            )
-        return ps
-    if mode == "float":
-        return PointSet(
-            tuple(SpherePoint.from_floats(*p.floats) for p in ps.points),
-            ps.triples,
-        )
-    return ps
 
 
 def _load_pointset(args: argparse.Namespace) -> tuple[PointSet, str]:
     doc = load_document(args.doc)
     ps = pointset_from_document(doc)
     name = doc.provenance.get("construction") or os.path.basename(args.doc)
-    return _apply_mode(ps, args.mode), name
+    return ps, name
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    config = GeometryConfig(epsilon=args.epsilon)
     parameters: dict = {}
     if args.name == "icosi":
         ps = build_icosidodecahedron()
@@ -184,8 +81,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         ps = build_first_expansion()
     else:
         parameters = SURVEY_PARAMETERS
-        ps = build_second_counterexample(config).final
-    ps = _apply_mode(ps, args.mode)
+        ps = build_second_counterexample().final
     doc = document_from_pointset(
         ps,
         construction=args.name,
@@ -201,11 +97,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ps, name = _load_pointset(args)
-    config = GeometryConfig(epsilon=args.epsilon)
-    q = quotient_antipodal(ps, config)
-    inst = FlowInstance(q, args.k, dedup_mirrors=args.dedup_antipodal_triples)
+    q = quotient_antipodal(ps)
+    inst = FlowInstance(q, args.k)
     formula = encode_nzk(inst)
     engines = ("sat", "backtrack") if args.engine == "both" else (args.engine,)
     decisions: dict[str, bool] = {}
@@ -231,8 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
-    is_sat = decisions[engines[0]]
-    decision = "SAT" if is_sat else "UNSAT"
+    decision = "SAT" if decisions[engines[0]] else "UNSAT"
     report = RunReport(
         instance=name,
         n_points=ps.n_points,
@@ -245,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         witness=witness_values,
         engines=engines,
         oracle_agrees=oracle_agrees,
-        wall_time_s=time.time() - t0,
+        wall_time_s=time.perf_counter() - t0,
     )
     for line in report.summary_lines():
         print(line)
@@ -269,17 +163,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_EXPECT_MISMATCH
-    if args.status_exit_codes:
-        return EXIT_SAT if is_sat else EXIT_UNSAT
     return EXIT_OK
 
 
 def cmd_export_dimacs(args: argparse.Namespace) -> int:
     ps, name = _load_pointset(args)
-    config = GeometryConfig(epsilon=args.epsilon)
-    q = quotient_antipodal(ps, config)
-    inst = FlowInstance(q, args.k, dedup_mirrors=args.dedup_antipodal_triples)
-    formula = encode_nzk(inst)
+    formula = encode_nzk(FlowInstance(quotient_antipodal(ps), args.k))
     text = formula.to_dimacs()
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(text)
@@ -289,8 +178,7 @@ def cmd_export_dimacs(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     ps, name = _load_pointset(args)
-    config = GeometryConfig(epsilon=args.epsilon)
-    q = quotient_antipodal(ps, config)
+    q = quotient_antipodal(ps)
     lines = [
         f"instance:  {name}",
         f"points:    {ps.n_points} ({len(ps.triples)} triples)",
@@ -356,11 +244,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     labels = None
     if args.witness:
         w = load_witness(args.witness)
-        config = GeometryConfig(epsilon=args.epsilon)
-        q = quotient_antipodal(ps, config)
-        inst = FlowInstance(
-            q, w.k, dedup_mirrors=args.dedup_antipodal_triples
-        )
+        q = quotient_antipodal(ps)
+        inst = FlowInstance(q, w.k)
         outcome = verify_labeling(Labeling(values=w.values), inst)
         if not outcome.ok:
             for violation in outcome.violations:
@@ -378,8 +263,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_flow_compare(args: argparse.Namespace) -> int:
     ps, name = _load_pointset(args)
-    config = GeometryConfig(epsilon=args.epsilon)
-    q = quotient_antipodal(ps, config)
+    q = quotient_antipodal(ps)
     k_int = min_flow_number(q, args.k_max, engine="sat")
     m_mod = min_mod_flow_number(q, max(args.k_max + 1, 2))
     int_desc = "none found" if k_int is None else str(k_int)
@@ -426,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="export radius (default 1)",
     )
-    _add_common_flags(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="decide a document at a value bound k")
@@ -444,21 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 3 unless the decision matches",
     )
-    p.add_argument(
-        "--status-exit-codes",
-        action="store_true",
-        help="exit 10 on SAT, 20 on UNSAT instead of 0",
-    )
     p.add_argument("--witness-out", default=None, help="write witness JSON here")
     p.add_argument("--report-out", default=None, help="write run report JSON here")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dimacs", help="write the CNF in DIMACS form")
     p.add_argument("doc", help="point-set document path")
     p.add_argument("-k", type=int, required=True, help="value bound")
     p.add_argument("--out", required=True, help="output DIMACS path")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_export_dimacs)
 
     p = sub.add_parser(
@@ -466,14 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("doc", help="point-set document path")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("render", help="orthographic SVG figure")
     p.add_argument("doc", help="point-set document path")
     p.add_argument("--witness", default=None, help="witness JSON to overlay")
     p.add_argument("--out", required=True, help="output SVG path")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser(
@@ -487,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=6,
         help="largest value bound to try (default 6)",
     )
-    _add_common_flags(p)
     p.set_defaults(func=cmd_flow_compare)
 
     return parser
@@ -497,10 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_common(args)
         return args.func(args)
     except (
-        CliError,
         ConstructionError,
         DocumentError,
         StructureError,

@@ -22,8 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .field import F1, F2, FieldElement, field_sqrt
 from .geometry import (
-    DEFAULT_CONFIG,
-    GeometryConfig,
+    EPSILON,
     PointSet,
     SpherePoint,
     Triple,
@@ -333,20 +332,18 @@ def candidate_coordinates() -> list[FieldElement]:
     return [c.exact for c in survey.kept if c.exact is not None]
 
 
-def generate_candidate_points_float(
-    values: Sequence[float], cfg: GeometryConfig = DEFAULT_CONFIG
-) -> PointSet:
+def generate_candidate_points_float(values: Sequence[float]) -> PointSet:
     """On-sphere float points from candidate values (no triples yet).
 
     Takes every multiset {c1, c2, c3} of candidate values with
-    c1^2 + c2^2 + c3^2 = 1 within epsilon and expands it through all
+    c1^2 + c2^2 + c3^2 = 1 within EPSILON and expands it through all
     coordinate permutations and sign choices, merging duplicates within
-    epsilon.
+    EPSILON.
     """
     hits = [
         (a, b, c)
         for a, b, c in itertools.combinations_with_replacement(sorted(values), 3)
-        if abs(a * a + b * b + c * c - 1.0) <= cfg.epsilon
+        if abs(a * a + b * b + c * c - 1.0) <= EPSILON
     ]
     raw = [
         SpherePoint.from_floats(*(vals[p] * s for p, s in zip(perm, signs)))
@@ -354,7 +351,7 @@ def generate_candidate_points_float(
         for perm in itertools.permutations(range(3))
         for signs in itertools.product((1, -1), repeat=3)
     ]
-    return dedup_points(raw, cfg)
+    return dedup_points(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +377,7 @@ def _select_points(ps: PointSet, keep: Sequence[int]) -> PointSet:
         for t in ps.triples
         if all(i in remap for i in t)
     )
-    return PointSet(pts, tuple(sorted(triples)), ps.diagnostics)
+    return PointSet(pts, tuple(sorted(triples)))
 
 
 def _degree_prune(
@@ -456,9 +453,7 @@ def largest_connected_component(ps: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _labeling_exists(
-    ps: PointSet, k: int, config: GeometryConfig = DEFAULT_CONFIG
-) -> tuple[bool, tuple[Triple, ...]]:
+def _labeling_exists(ps: PointSet, k: int) -> tuple[bool, tuple[Triple, ...]]:
     """Decide whether a nowhere-zero k-bounded labeling exists.
 
     Works blockwise: mirror-duplicate constraints are collapsed and the
@@ -469,7 +464,7 @@ def _labeling_exists(
     """
     if not ps.triples:
         return True, ()
-    q = quotient_antipodal(ps, config)
+    q = quotient_antipodal(ps)
     class_reps: list[tuple[int, ...]] = [
         q.reps_of_class(cid) for cid in range(q.n_classes)
     ]
@@ -500,9 +495,7 @@ def _labeling_exists(
     return True, ()
 
 
-def unsat_preserving_prune(
-    ps: PointSet, k: int, config: GeometryConfig = DEFAULT_CONFIG
-) -> tuple[PointSet, PruneReport]:
+def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]:
     """Greedily shrink a refuting configuration, keeping it refuting.
 
     Triples are attempted for removal once each, in construction order.
@@ -521,12 +514,12 @@ def unsat_preserving_prune(
     Points are never dropped there, keeping the pair structure (and the
     variable count of the encoded instance) intact.
     """
-    sat, core = _labeling_exists(ps, k, config)
+    sat, core = _labeling_exists(ps, k)
     if sat:
         raise ValueError(
             f"input admits a labeling at k={k}; nothing to preserve"
         )
-    anti = antipode_map(ps, config)
+    anti = antipode_map(ps)
 
     alive_points = list(range(ps.n_points))
     alive_triples = list(ps.triples)
@@ -542,7 +535,7 @@ def unsat_preserving_prune(
         removed = set(alive_triples) - set(trial_triples)
         if removed & core_set:
             sub = _select_points(ps.with_triples(trial_triples), trial_points)
-            sat, sub_core = _labeling_exists(sub, k, config)
+            sat, sub_core = _labeling_exists(sub, k)
             if sat:
                 continue
             core_set = {
@@ -563,7 +556,7 @@ def unsat_preserving_prune(
         deduped.append(t)
 
     final = _select_points(ps.with_triples(deduped), alive_points)
-    sat, _ = _labeling_exists(final, k, config)
+    sat, _ = _labeling_exists(final, k)
     _require(not sat, "pruned configuration must stay unlabelable")
     report = PruneReport(tuple(rounds), final.n_points, len(final.triples))
     return final, report
@@ -591,16 +584,16 @@ def final_coordinate_values() -> tuple[FieldElement, ...]:
     )
 
 
-def lift_to_exact(
-    ps: PointSet,
-    coords: Sequence[FieldElement],
-    tol: float = 1e-12,
-) -> PointSet:
+# How far a float coordinate may sit from the field element it lifts to.
+_LIFT_TOLERANCE = 1e-12
+
+
+def lift_to_exact(ps: PointSet, coords: Sequence[FieldElement]) -> PointSet:
     """Exact twin of a float point set over known coordinate values.
 
     Every |coordinate| must match one of the given field elements within
-    tol (signs carry over).  Zero-sum triples are re-detected from
-    scratch on both sides and must agree; the input's selected triple
+    _LIFT_TOLERANCE (signs carry over).  Zero-sum triples are re-detected
+    from scratch on both sides and must agree; the input's selected triple
     list (possibly a pruned subset of the geometric ones) carries over.
     """
     _require(len(coords) > 0, "need candidate values to lift against")
@@ -609,9 +602,10 @@ def lift_to_exact(
     def lift_one(v: float) -> FieldElement:
         av = abs(v)
         fv, e = min(table, key=lambda pair: abs(pair[0] - av))
-        if abs(fv - av) > tol:
+        if abs(fv - av) > _LIFT_TOLERANCE:
             raise ConstructionError(
-                f"coordinate {v!r} matches no exact value within {tol}"
+                f"coordinate {v!r} matches no exact value "
+                f"within {_LIFT_TOLERANCE}"
             )
         return -e if v < 0 else e
 
@@ -654,9 +648,7 @@ class SecondConstruction:
         return len(self.final.triples)
 
 
-def build_second_counterexample(
-    config: GeometryConfig = DEFAULT_CONFIG,
-) -> SecondConstruction:
+def build_second_counterexample() -> SecondConstruction:
     """Search, prune and exactify the second refuting configuration.
 
     Pipeline: survey the candidate coordinate values, expand them into
@@ -667,11 +659,9 @@ def build_second_counterexample(
     bit; the stage invariants below pin the expected shape.
     """
     survey = candidate_coordinate_survey()
-    cloud = generate_candidate_points_float(
-        [c.value for c in survey.kept], config
-    )
+    cloud = generate_candidate_points_float([c.value for c in survey.kept])
     _require(cloud.n_points == 210, "candidate cloud must have 210 points")
-    cloud = cloud.with_triples(find_zero_sum_triples(cloud, config))
+    cloud = cloud.with_triples(find_zero_sum_triples(cloud))
     _require(len(cloud.triples) == 116, "candidate cloud must carry 116 triples")
     thinned, degree_report = prune_low_degree(cloud)
     component = largest_connected_component(thinned)
@@ -679,7 +669,7 @@ def build_second_counterexample(
         component.n_points == 126 and len(component.triples) == 108,
         "largest component must be 126 points / 108 triples",
     )
-    final_float, prune_report = unsat_preserving_prune(component, 4, config)
+    final_float, prune_report = unsat_preserving_prune(component, 4)
     exact_values = [c.exact for c in survey.kept if c.exact is not None]
     final = lift_to_exact(final_float, exact_values)
     used = {abs(c) for p in final.points for c in (p.exact or ())}

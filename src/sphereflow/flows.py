@@ -24,7 +24,6 @@ __all__ = [
     "backtrack_search",
     "count_zero_sum_values",
     "decode_witness",
-    "dedup_mirror_triples",
     "encode_nzk",
     "encode_triples",
     "expected_clause_count",
@@ -42,23 +41,16 @@ def value_slots(k: int) -> tuple[int, ...]:
     return tuple(range(-k, 0)) + tuple(range(1, k + 1))
 
 
-def dedup_mirror_triples(q: AntipodalQuotient) -> tuple[OrientedTriple, ...]:
-    """One oriented triple per mirror class (the first of each class)."""
-    return tuple(q.oriented_triples[c[0]] for c in q.triple_classes)
-
-
 @dataclass(frozen=True)
 class FlowInstance:
     """A quotient together with the value bound k.
 
-    ``dedup_mirrors`` drops the antipodal mirror of each triple before
-    encoding; mirrors constrain identically, so the decision is
-    unchanged, but the published clause counts keep them.
+    Every oriented triple is encoded, antipodal mirrors included: the
+    published clause counts keep them.
     """
 
     quotient: AntipodalQuotient
     k: int
-    dedup_mirrors: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -66,8 +58,6 @@ class FlowInstance:
 
     @property
     def triples(self) -> tuple[OrientedTriple, ...]:
-        if self.dedup_mirrors:
-            return dedup_mirror_triples(self.quotient)
         return self.quotient.oriented_triples
 
     @property

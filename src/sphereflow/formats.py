@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .field import FIELD_BY_TAG, parse_element, parse_rational, serialize_element
-from .geometry import PointSet, SpherePoint
+from .geometry import EPSILON, PointSet, SpherePoint
 
 __all__ = [
     "DocumentError",
@@ -64,7 +64,7 @@ class PointSetDocument:
         payload = _json_object(text, "point-set document")
         try:
             version = payload["schema_version"]
-            if version != SCHEMA_VERSION:
+            if not _is_int(version) or version != SCHEMA_VERSION:
                 raise DocumentError(f"unsupported schema version {version}")
             doc = cls(
                 field_tag=payload["field_tag"],
@@ -145,13 +145,19 @@ def document_from_pointset(
 
 
 def pointset_from_document(doc: PointSetDocument) -> PointSet:
-    """Rebuild the unit-sphere point set, checking float shadows."""
+    """Rebuild the unit-sphere point set, checking float coordinates."""
     if doc.field_tag == "float":
         pts = []
         inv = 1.0 / float(doc.radius)
         for i, entry in enumerate(doc.points):
             x, y, z = _float_shadows(entry, i)
-            pts.append(SpherePoint.from_floats(x * inv, y * inv, z * inv))
+            try:
+                p = SpherePoint.from_floats(
+                    x * inv, y * inv, z * inv, check_eps=EPSILON
+                )
+            except ValueError as exc:
+                raise DocumentError(f"point {i}: {exc}") from None
+            pts.append(p)
         return PointSet(points=tuple(pts), triples=doc.triples)
     field = FIELD_BY_TAG.get(doc.field_tag)
     if field is None:

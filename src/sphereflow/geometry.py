@@ -3,8 +3,8 @@
 Detection and deduplication have two modes.  Exact mode works on
 points whose coordinates are FieldElements and decides every predicate
 with exact arithmetic.  Approximate mode works on float coordinates
-with a tolerance epsilon and exists to cross-validate the exact path
-(and to drive searches whose intermediate values leave the field).
+with the one tolerance EPSILON and exists to cross-validate the exact
+path (and to drive searches whose intermediate values leave the field).
 Small-circle intersection is exact only.
 """
 
@@ -26,18 +26,8 @@ class ExactnessError(ValueError):
     """Raised when an exact computation would have to leave the field."""
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Tolerance settings for approximate-mode geometry."""
-
-    epsilon: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not (0 < self.epsilon < 1e-2):
-            raise ValueError("epsilon must be a small positive number")
-
-
-DEFAULT_CONFIG = GeometryConfig()
+# The tolerance of every approximate-mode (float) comparison.
+EPSILON = 1e-7
 
 ExactCoords = tuple[FieldElement, FieldElement, FieldElement]
 FloatCoords = tuple[float, float, float]
@@ -98,14 +88,13 @@ class PointSet:
 
     points: tuple[SpherePoint, ...]
     triples: tuple[Triple, ...] = ()
-    diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.points)
         for t in self.triples:
             if (
                 len(t) != 3
-                or not all(isinstance(i, int) and 0 <= i < n for i in t)
+                or not all(type(i) is int and 0 <= i < n for i in t)
                 or len(set(t)) != 3
             ):
                 raise ValueError(f"malformed triple {t}")
@@ -119,7 +108,7 @@ class PointSet:
         return all(p.is_exact for p in self.points)
 
     def with_triples(self, triples: Sequence[Triple]) -> "PointSet":
-        return PointSet(self.points, tuple(triples), self.diagnostics)
+        return PointSet(self.points, tuple(triples))
 
     def degrees(self) -> list[int]:
         deg = [0] * len(self.points)
@@ -146,9 +135,7 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-def find_zero_sum_triples(
-    ps: PointSet, cfg: GeometryConfig = DEFAULT_CONFIG
-) -> tuple[Triple, ...]:
+def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
     """All index triples i<j<k whose points sum to the zero vector.
 
     Exact mode resolves the third point by hash lookup of the negated
@@ -174,7 +161,7 @@ def find_zero_sum_triples(
                     out.append((i, j, k))
         return tuple(sorted(out))
 
-    eps = cfg.epsilon
+    eps = EPSILON
     grid: dict[tuple[int, int, int], list[int]] = {}
     for i, p in enumerate(pts):
         cell = tuple(math.floor(v / eps) for v in p.floats)
@@ -203,9 +190,7 @@ def find_zero_sum_triples(
     return tuple(sorted(found))
 
 
-def find_zero_sum_triples_brute(
-    ps: PointSet, cfg: GeometryConfig = DEFAULT_CONFIG
-) -> tuple[Triple, ...]:
+def find_zero_sum_triples_brute(ps: PointSet) -> tuple[Triple, ...]:
     """O(n^3) reference implementation, kept as a test oracle."""
     pts = ps.points
     out = []
@@ -222,7 +207,7 @@ def find_zero_sum_triples_brute(
                 else:
                     if all(
                         abs(pts[i].floats[c] + pts[j].floats[c] + pts[k].floats[c])
-                        <= cfg.epsilon
+                        <= EPSILON
                         for c in range(3)
                     ):
                         out.append((i, j, k))
@@ -283,16 +268,11 @@ def small_circle_intersection(
 # ---------------------------------------------------------------------------
 
 
-def dedup_points(
-    raw: Sequence[SpherePoint], cfg: GeometryConfig = DEFAULT_CONFIG
-) -> PointSet:
+def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
     """Merge duplicate points, keeping the first-seen representative.
 
     Exact inputs are merged on exact coordinate equality.  Float inputs
-    are merged by transitive closure of Euclidean distance <= epsilon;
-    pairs at distance in (epsilon, 10*epsilon] are reported in the
-    diagnostics channel because they sit uncomfortably close to the
-    merge threshold.
+    are merged by transitive closure of Euclidean distance <= EPSILON.
     """
     if all(p.is_exact for p in raw):
         seen: dict[ExactCoords, int] = {}
@@ -305,7 +285,7 @@ def dedup_points(
     if any(p.is_exact for p in raw):
         raise ValueError("dedup_points requires points of a single mode")
 
-    eps = cfg.epsilon
+    eps = EPSILON
     n = len(raw)
     parent = list(range(n))
 
@@ -320,7 +300,6 @@ def dedup_points(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    diagnostics = []
     for i in range(n):
         a = raw[i].floats
         for j in range(i + 1, n):
@@ -328,11 +307,6 @@ def dedup_points(
             d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
             if d2 <= eps * eps:
                 union(i, j)
-            elif d2 <= (10 * eps) ** 2:
-                diagnostics.append(
-                    f"ambiguous pair: raw points {i} and {j} at distance "
-                    f"{math.sqrt(d2):.3e} (between eps and 10*eps)"
-                )
     reps = []
     seen_roots: set[int] = set()
     for i in range(n):
@@ -340,4 +314,4 @@ def dedup_points(
         if r not in seen_roots:
             seen_roots.add(r)
             reps.append(raw[r])
-    return PointSet(tuple(reps), diagnostics=tuple(diagnostics))
+    return PointSet(tuple(reps))

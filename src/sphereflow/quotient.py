@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .geometry import DEFAULT_CONFIG, GeometryConfig, PointSet, SpherePoint
+from .geometry import EPSILON, PointSet, SpherePoint
 
 __all__ = [
     "AntipodalQuotient",
@@ -67,13 +67,11 @@ class AntipodalQuotient:
         return self.reps_of_triple(self.triple_classes[class_id][0])
 
 
-def antipode_map(
-    ps: PointSet, config: GeometryConfig = DEFAULT_CONFIG
-) -> dict[int, int]:
+def antipode_map(ps: PointSet) -> dict[int, int]:
     """Map each point index to the index of its antipode in the set.
 
     Exact point sets match by hashing the negated coordinates.  Float
-    point sets take the first index within epsilon of the negation in
+    point sets take the first index within EPSILON of the negation in
     every coordinate.  Raises StructureError when a point has none.
     """
     if ps.all_exact:
@@ -83,7 +81,7 @@ def antipode_map(
             return index.get(tuple(-c for c in p.exact))
 
     else:
-        eps = config.epsilon
+        eps = EPSILON
         floats = [p.floats for p in ps.points]
 
         def find(p: SpherePoint) -> Optional[int]:
@@ -102,7 +100,7 @@ def antipode_map(
     return out
 
 
-def _points_positively_oriented(p: SpherePoint, config: GeometryConfig) -> bool:
+def _points_positively_oriented(p: SpherePoint) -> bool:
     """True when the first nonzero coordinate of p is positive."""
     if p.exact is not None:
         for c in p.exact:
@@ -111,14 +109,12 @@ def _points_positively_oriented(p: SpherePoint, config: GeometryConfig) -> bool:
                 return s > 0
         raise StructureError("zero vector cannot be oriented")
     for c in p.floats:
-        if abs(c) > config.epsilon:
+        if abs(c) > EPSILON:
             return c > 0
     raise StructureError("zero vector cannot be oriented")
 
 
-def quotient_antipodal(
-    ps: PointSet, config: GeometryConfig = DEFAULT_CONFIG
-) -> AntipodalQuotient:
+def quotient_antipodal(ps: PointSet) -> AntipodalQuotient:
     """Collapse an antipode-closed point set to pair representatives.
 
     The representative of a pair is the member whose first nonzero
@@ -126,7 +122,7 @@ def quotient_antipodal(
     original index of their pair, so the quotient is deterministic for a
     fixed point order.
     """
-    anti = antipode_map(ps, config)
+    anti = antipode_map(ps)
     for i, j in anti.items():
         if i == j:
             raise StructureError(f"point {i} is its own antipode")
@@ -137,7 +133,7 @@ def quotient_antipodal(
         if i in rep_of:
             continue
         j = anti[i]
-        chosen = i if _points_positively_oriented(ps.points[i], config) else j
+        chosen = i if _points_positively_oriented(ps.points[i]) else j
         r = len(reps)
         reps.append(ps.points[chosen])
         rep_of[i] = rep_of[j] = r

@@ -19,6 +19,7 @@ from .quotient import AntipodalQuotient
 
 __all__ = ["render_svg", "witness_point_labels"]
 
+_SIZE = 720
 _MARGIN_FRACTION = 0.42
 _POINT_RADIUS = 5.0
 
@@ -87,23 +88,22 @@ def render_svg(
     ps: PointSet,
     labels: Optional[Mapping[int, int]] = None,
     title: str = "",
-    size: int = 720,
 ) -> str:
     """Render the configuration to a standalone SVG string."""
     rot = _view_rotation(ps)
     rotated = [_apply(rot, p.floats) for p in ps.points]
-    half = size / 2.0
-    scale = size * _MARGIN_FRACTION
+    half = _SIZE / 2.0
+    scale = _SIZE * _MARGIN_FRACTION
 
     def canvas(v) -> tuple[float, float]:
         return half + v[0] * scale, half - v[1] * scale
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
     )
-    out.append(f'<rect width="{size}" height="{size}" fill="white"/>')
+    out.append(f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>')
     out.append(
         f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(scale)}" '
         'fill="none" stroke="#cccccc" stroke-width="1"/>'

@@ -12,8 +12,6 @@ from sphereflow.cli import (
     EXIT_ERROR,
     EXIT_EXPECT_MISMATCH,
     EXIT_OK,
-    EXIT_SAT,
-    EXIT_UNSAT,
     main,
 )
 from sphereflow.formats import (
@@ -114,17 +112,6 @@ def test_verify_expect_mismatch_exit_code(icosi_doc, capsys):
     assert "expectation failed" in capsys.readouterr().err
 
 
-def test_verify_status_exit_codes(icosi_doc, capsys):
-    assert (
-        main(["verify", icosi_doc, "-k", "4", "--status-exit-codes"])
-        == EXIT_SAT
-    )
-    assert (
-        main(["verify", icosi_doc, "-k", "3", "--status-exit-codes"])
-        == EXIT_UNSAT
-    )
-
-
 def test_verify_single_engine(icosi_doc, capsys):
     assert main(["verify", icosi_doc, "-k", "3", "--engine", "backtrack"]) == EXIT_OK
     stdout = capsys.readouterr().out
@@ -157,18 +144,6 @@ def test_export_dimacs_ce1_published_header(ce1_doc, tmp_path):
     out = str(tmp_path / "ce1_k4.cnf")
     assert main(["export-dimacs", ce1_doc, "-k", "4", "--out", out]) == EXIT_OK
     assert open(out).read().splitlines()[0] == "p cnf 200 19765"
-
-
-def test_export_dimacs_dedup_flag(ce1_doc, tmp_path):
-    out = str(tmp_path / "ce1_dedup.cnf")
-    code = main(
-        [
-            "export-dimacs", ce1_doc, "-k", "4", "--out", out,
-            "--dedup-antipodal-triples",
-        ]
-    )
-    assert code == EXIT_OK
-    assert open(out).read().splitlines()[0] == "p cnf 200 10245"
 
 
 def test_report_icosi(icosi_doc, capsys):
@@ -240,47 +215,16 @@ def test_flow_compare_icosi(icosi_doc, capsys):
     assert "MISMATCH" not in stdout
 
 
-def test_env_epsilon_override(icosi_doc, monkeypatch, capsys):
-    monkeypatch.setenv("SPHEREFLOW_EPSILON", "not-a-number")
-    assert main(["report", icosi_doc]) == EXIT_ERROR
-    assert "SPHEREFLOW_EPSILON" in capsys.readouterr().err
-    monkeypatch.setenv("SPHEREFLOW_EPSILON", "1e-9")
-    assert main(["report", icosi_doc]) == EXIT_OK
-    capsys.readouterr()
-    # an explicit flag beats the environment
-    monkeypatch.setenv("SPHEREFLOW_EPSILON", "-3")
-    assert main(["report", icosi_doc, "--epsilon", "1e-7"]) == EXIT_OK
-
-
-def test_env_mode_and_dedup(ce1_doc, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPHEREFLOW_DEDUP_ANTIPODAL_TRIPLES", "yes")
-    out = str(tmp_path / "env_dedup.cnf")
-    assert main(["export-dimacs", ce1_doc, "-k", "4", "--out", out]) == EXIT_OK
-    assert open(out).read().splitlines()[0] == "p cnf 200 10245"
-    monkeypatch.setenv("SPHEREFLOW_DEDUP_ANTIPODAL_TRIPLES", "maybe")
-    assert main(["export-dimacs", ce1_doc, "-k", "4", "--out", out]) == EXIT_ERROR
-    monkeypatch.delenv("SPHEREFLOW_DEDUP_ANTIPODAL_TRIPLES")
-    monkeypatch.setenv("SPHEREFLOW_MODE", "sideways")
-    assert main(["report", ce1_doc]) == EXIT_ERROR
-
-
-def test_mode_exact_rejects_float_document(icosi, tmp_path, capsys):
+def test_mode_float_still_decides(icosi, tmp_path, capsys):
+    # a document without exact coordinates is decided on its floats
     floats = PointSet(
         tuple(SpherePoint.from_floats(*p.floats) for p in icosi.points),
         icosi.triples,
     )
     path = str(tmp_path / "float.json")
     save_document(document_from_pointset(floats, "icosi-float", {}), path)
-    code = main(["verify", path, "-k", "3", "--mode", "exact"])
-    assert code == EXIT_ERROR
-    assert "mode=exact" in capsys.readouterr().err
-
-
-def test_mode_float_still_decides(icosi_doc, capsys):
-    code = main(
-        ["verify", icosi_doc, "-k", "3", "--mode", "float", "--expect", "unsat"]
-    )
-    assert code == EXIT_OK
+    assert main(["verify", path, "-k", "3", "--expect", "unsat"]) == EXIT_OK
+    assert main(["verify", path, "-k", "4", "--expect", "sat"]) == EXIT_OK
 
 
 def test_missing_document_is_an_error(capsys):
@@ -315,6 +259,18 @@ def _assert_one_line_error(code, capsys):
             "triples": [],
         },
         lambda doc: "[" * 100000 + "]" * 100000,
+        lambda doc: {
+            **doc,
+            "field_tag": "float",
+            "points": [
+                {"floats": [5 * c for c in p["floats"]]} for p in doc["points"]
+            ],
+        },
+        lambda doc: {**doc, "schema_version": True},
+        lambda doc: {
+            **doc,
+            "triples": [[True if i == 1 else i for i in t] for t in doc["triples"]],
+        },
     ],
     ids=[
         "list",
@@ -330,6 +286,9 @@ def _assert_one_line_error(code, capsys):
         "json-infinity-radius",
         "zero-denominator-coordinate",
         "deep-nesting",
+        "off-sphere-float-point",
+        "bool-schema-version",
+        "bool-triple-member",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

@@ -14,7 +14,6 @@ from sphereflow.flows import (
     backtrack_search,
     count_zero_sum_values,
     decode_witness,
-    dedup_mirror_triples,
     encode_nzk,
     expected_clause_count,
     min_flow_number,
@@ -83,20 +82,6 @@ def test_encoding_is_byte_deterministic(icosi_q):
     b = encode_nzk(FlowInstance(icosi_q, 3)).to_dimacs()
     assert a == b
     assert a.splitlines()[0] == "p cnf 90 4200"
-
-
-def test_mirror_dedup_halves_triple_count(ce1_q):
-    inst = FlowInstance(ce1_q, 4, dedup_mirrors=True)
-    assert len(inst.triples) == 20
-    assert len(dedup_mirror_triples(ce1_q)) == 20
-    formula = encode_nzk(inst)
-    assert formula.num_vars == 200
-    assert formula.n_clauses == expected_clause_count(25, 20, 4)
-    # dropping mirrors must not change the decision
-    assert (
-        sat_solve(formula).satisfiable
-        == sat_solve(encode_nzk(FlowInstance(ce1_q, 4))).satisfiable
-    )
 
 
 def test_icosi_decisions_both_engines(icosi_q):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from sphereflow.field import F1
 from sphereflow.geometry import (
-    DEFAULT_CONFIG,
     PointSet,
     SpherePoint,
     dedup_points,
@@ -123,7 +122,7 @@ def test_dedup_points_merges_close_floats():
     a = SpherePoint.from_floats(1.0, 0.0, 0.0)
     b = SpherePoint.from_floats(1.0 + 1e-12, 0.0, 0.0)
     c = SpherePoint.from_floats(0.0, 1.0, 0.0)
-    ps = dedup_points((a, b, c), DEFAULT_CONFIG)
+    ps = dedup_points((a, b, c))
     assert ps.n_points == 2
     # first-seen representative wins
     assert ps.points[0] == a
