@@ -28,8 +28,9 @@ from .flows import (
     FlowInstance,
     Labeling,
     backtrack_search,
-    decode_witness,
+    decide_labeling,
     encode_nzk,
+    expected_clause_count,
     min_flow_number,
     min_mod_flow_number,
     verify_labeling,
@@ -56,7 +57,6 @@ from .quotient import (
     quotient_antipodal,
 )
 from .render import render_svg, witness_point_labels
-from .solver import sat_solve
 
 __all__ = ["main"]
 
@@ -101,21 +101,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ps, name = _load_pointset(args)
     q = quotient_antipodal(ps)
     inst = FlowInstance(q, args.k)
-    formula = encode_nzk(inst)
     engines = ("sat", "backtrack") if args.engine == "both" else (args.engine,)
     decisions: dict[str, bool] = {}
     witness_values: Optional[tuple[int, ...]] = None
     for engine in engines:
-        if engine == "sat":
-            res = sat_solve(formula)
-            decisions["sat"] = res.satisfiable
-            if res.satisfiable:
-                witness_values = decode_witness(res.model, inst).values
-        else:
-            lab = backtrack_search(inst)
-            decisions["backtrack"] = lab is not None
-            if lab is not None and witness_values is None:
-                witness_values = lab.values
+        lab = decide_labeling(inst)[0] if engine == "sat" else backtrack_search(inst)
+        decisions[engine] = lab is not None
+        if lab is not None and witness_values is None:
+            witness_values = lab.values
     oracle_agrees: Optional[bool] = None
     if len(decisions) == 2:
         oracle_agrees = decisions["sat"] == decisions["backtrack"]
@@ -133,8 +126,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_triples=len(ps.triples),
         n_reps=q.n_reps,
         k=args.k,
-        num_vars=formula.num_vars,
-        num_clauses=formula.n_clauses,
+        num_vars=q.n_reps * 2 * args.k,
+        num_clauses=expected_clause_count(
+            q.n_reps, len(q.oriented_triples), args.k
+        ),
         decision=decision,
         witness=witness_values,
         engines=engines,

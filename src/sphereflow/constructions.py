@@ -31,8 +31,8 @@ from .geometry import (
     find_zero_sum_triples,
     small_circle_intersection,
 )
-from .flows import encode_triples
-from .quotient import antipode_map, quotient_antipodal
+from .flows import FlowInstance, decide_labeling
+from .quotient import antipode_map, components, quotient_antipodal
 from .solver import sat_solve as sat_solve_cdcl
 
 
@@ -45,40 +45,11 @@ def _require(cond: bool, what: str) -> None:
         raise ConstructionError(f"construction self-check failed: {what}")
 
 
-def _components(
-    nodes: Iterable[int],
-    neighbours: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
-) -> list[list[int]]:
-    """Connected components as sorted lists, ordered by smallest member.
-
-    ``neighbours[u]`` lists the nodes adjacent to node u.
-    """
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, comp = [start], []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbours[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 # -- shared exact constants ---------------------------------------------------
 
 GOLDEN_RATIO = (F1.one + F1.t**2) / 2  # (1 + sqrt5)/2
 SQRT5 = F1.t**2
 COS_2PI_5 = (SQRT5 - 1) / 4  # cos of two decagon steps
-COS_PI_5 = (SQRT5 + 1) / 4
-X_UNIT = 2 * F1.t**3 / 5  # 2 / 5^(1/4)
-Y_UNIT = X_UNIT * GOLDEN_RATIO
 
 SQRT3 = F2.t**2 + 1
 
@@ -177,7 +148,7 @@ def _partner_components(ps: PointSet, n_old: int) -> list[frozenset[int]]:
         a, b = fresh
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    return [frozenset(c) for c in _components(adj, adj)]
+    return [frozenset(c) for c in components(adj, adj)]
 
 
 def build_first_expansion() -> PointSet:
@@ -219,32 +190,6 @@ def count_antipodal_pairs(ps: PointSet) -> int:
     if not ps.all_exact:
         raise ValueError("count_antipodal_pairs expects an exact point set")
     return len(antipode_map(ps)) // 2
-
-
-def radius2_integer_decomposition(e: FieldElement) -> Optional[tuple[int, int, int, int]]:
-    """Write e as an integer combination of 1, phi, x, y, or None.
-
-    Here phi is the golden ratio, x = 2/5^(1/4) and y = x*phi.  The four
-    elements form a Q-basis of the field, so the decomposition is unique;
-    only integrality can fail.
-    """
-    c0, c1, c2, c3 = e.coeffs
-    # 1 -> (1,0,0,0); phi -> (1/2,0,1/2,0); x -> (0,0,0,2/5); y -> (0,1,0,1/5)
-    b = 2 * c2
-    a = c0 - c2
-    d = c1
-    cc = (5 * c3 - c1) / 2
-    for v in (a, b, cc, d):
-        if v.denominator != 1:
-            return None
-    check = (
-        F1.from_rational(a)
-        + b * GOLDEN_RATIO
-        + cc * X_UNIT
-        + d * Y_UNIT
-    )
-    assert check == e
-    return (int(a), int(b), int(cc), int(d))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +381,7 @@ def connected_components(ps: PointSet) -> list[PointSet]:
         adj[a] |= {b, c}
         adj[b] |= {a, c}
         adj[c] |= {a, b}
-    comps = _components(range(ps.n_points), adj)
+    comps = components(range(ps.n_points), adj)
     comps.sort(key=lambda c: (-len(c), c[0]))
     return [_select_points(ps, c) for c in comps]
 
@@ -456,43 +401,16 @@ def largest_connected_component(ps: PointSet) -> PointSet:
 def _labeling_exists(ps: PointSet, k: int) -> tuple[bool, tuple[Triple, ...]]:
     """Decide whether a nowhere-zero k-bounded labeling exists.
 
-    Works blockwise: mirror-duplicate constraints are collapsed and the
-    representative constraint graph is split into connected blocks, each
-    decided by the conflict-learning solver.  When no labeling exists,
-    also returns the triples of one refuted block; any point set
-    retaining all of them stays unsatisfiable.
+    Decided by ``decide_labeling`` on the quotient, one block at a time,
+    with the conflict-learning solver.  When no labeling exists, also
+    returns the triples of one refuted block; any point set retaining
+    all of them stays unsatisfiable.
     """
     if not ps.triples:
         return True, ()
     q = quotient_antipodal(ps)
-    class_reps: list[tuple[int, ...]] = [
-        q.reps_of_class(cid) for cid in range(q.n_classes)
-    ]
-    # connected blocks of classes via shared representatives
-    by_rep: dict[int, list[int]] = {}
-    for cid, reps in enumerate(class_reps):
-        for r in reps:
-            by_rep.setdefault(r, []).append(cid)
-    sharing = [{c for r in reps for c in by_rep[r]} for reps in class_reps]
-    blocks = _components(range(q.n_classes), sharing)
-    blocks.sort(key=len)
-    for block in blocks:
-        reps = sorted({r for cid in block for r in class_reps[cid]})
-        remap = {r: i for i, r in enumerate(reps)}
-        constraints = tuple(
-            tuple(
-                (remap[r], s)
-                for r, s in q.oriented_triples[q.triple_classes[cid][0]]
-            )
-            for cid in block
-        )
-        result = sat_solve_cdcl(encode_triples(len(reps), constraints, k))
-        if not result.satisfiable:
-            core = tuple(
-                ps.triples[tid] for cid in block for tid in q.triple_classes[cid]
-            )
-            return False, core
-    return True, ()
+    labeling, refuted = decide_labeling(FlowInstance(q, k), sat_solve_cdcl)
+    return labeling is not None, tuple(ps.triples[tid] for tid in refuted)
 
 
 def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]:

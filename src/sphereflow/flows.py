@@ -5,17 +5,23 @@ A labeling assigns each pair representative a nonzero integer value in
 antipodal consistency is structural through the orientation signs.  The
 problem is decided twice, by CNF encoding plus SAT solving and by a
 direct backtracking oracle, and the two answers are cross-checked.
+
+Two encodings share one variable layout.  The direct encoding
+(``encode_triples``) blocks every nonzero value combination of a triple;
+it is the published DIMACS export and fixes the published clause counts.
+The support encoding (``encode_support``) is what SAT decisions run on:
+unit propagation on it enforces arc consistency on every triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .oracle import CspProblem, OrientedTriple, csp_solve
-from .quotient import AntipodalQuotient
-from .solver import CnfFormula, sat_solve
+from .quotient import AntipodalQuotient, components
+from .solver import CnfFormula, SatResult, sat_solve
 
 __all__ = [
     "FlowInstance",
@@ -23,10 +29,13 @@ __all__ = [
     "VerificationReport",
     "backtrack_search",
     "count_zero_sum_values",
+    "decide_labeling",
     "decode_witness",
     "encode_nzk",
+    "encode_support",
     "encode_triples",
     "expected_clause_count",
+    "expected_support_clause_count",
     "min_flow_number",
     "min_mod_flow_number",
     "value_slots",
@@ -45,8 +54,9 @@ def value_slots(k: int) -> tuple[int, ...]:
 class FlowInstance:
     """A quotient together with the value bound k.
 
-    Every oriented triple is encoded, antipodal mirrors included: the
-    published clause counts keep them.
+    The direct encoding keeps every oriented triple, antipodal mirrors
+    included, as the published clause counts do; decide_labeling keeps
+    one triple per mirror class.
     """
 
     quotient: AntipodalQuotient
@@ -80,6 +90,17 @@ def expected_clause_count(n_reps: int, n_triples: int, k: int) -> int:
     )
 
 
+def _one_value_clauses(n_reps: int, two_k: int) -> list[tuple[int, ...]]:
+    """Per rep: the at-least-one clause, then the pairwise at-most-one ones."""
+    clauses: list[tuple[int, ...]] = []
+    for first in range(1, n_reps * two_k + 1, two_k):
+        clauses.append(tuple(range(first, first + two_k)))
+        for j1 in range(two_k):
+            for j2 in range(j1 + 1, two_k):
+                clauses.append((-(first + j1), -(first + j2)))
+    return clauses
+
+
 def encode_triples(
     n_reps: int, triples: Sequence[OrientedTriple], k: int
 ) -> CnfFormula:
@@ -96,12 +117,7 @@ def encode_triples(
     def var(rep: int, slot: int) -> int:
         return rep * two_k + slot + 1
 
-    clauses: list[tuple[int, ...]] = []
-    for rep in range(n_reps):
-        clauses.append(tuple(var(rep, j) for j in range(two_k)))
-        for j1 in range(two_k):
-            for j2 in range(j1 + 1, two_k):
-                clauses.append((-var(rep, j1), -var(rep, j2)))
+    clauses = _one_value_clauses(n_reps, two_k)
     z_k = count_zero_sum_values(k)
     for triple in triples:
         (r1, s1), (r2, s2), (r3, s3) = triple
@@ -133,6 +149,73 @@ def encode_triples(
 def encode_nzk(inst: FlowInstance) -> CnfFormula:
     """CNF for a flow instance: encode_triples over its quotient."""
     return encode_triples(inst.n_reps, inst.triples, inst.k)
+
+
+def expected_support_clause_count(
+    n_reps: int, n_triples: int, n_blocks: int, k: int
+) -> int:
+    """Closed form: P*(1 + C(2k,2)) + T*3*(2k)^2 + B."""
+    two_k = 2 * k
+    return n_reps * (1 + comb(two_k, 2)) + n_triples * 3 * two_k**2 + n_blocks
+
+
+def encode_support(
+    n_reps: int, triples: Sequence[OrientedTriple], k: int
+) -> CnfFormula:
+    """Support-encoding CNF with the variable layout of encode_triples.
+
+    Per rep: the at-least-one clause then the pairwise at-most-one
+    clauses.  Per oriented triple and member pair (a, b) with third
+    member c, in the order (1,2), (1,3), (2,3): for every value pair, the
+    clause -a(va) | -b(vb) | c(vc), where vc is the value the triple then
+    forces on c; c(vc) is left out when vc is zero or beyond k.  Last,
+    one clause per connected block of reps makes its smallest rep
+    positive, which is sound because negating a labeling gives another.
+    """
+    slots = value_slots(k)
+    two_k = len(slots)
+
+    def var(rep: int, slot: int) -> int:
+        return rep * two_k + slot + 1
+
+    def slot_of(value: int) -> int:
+        return value + k if value < 0 else value + k - 1
+
+    clauses = _one_value_clauses(n_reps, two_k)
+    z_k = count_zero_sum_values(k)
+    neighbours: list[set[int]] = [set() for _ in range(n_reps)]
+    for triple in triples:
+        supported = 0
+        for r, _ in triple:
+            neighbours[r].update(m for m, _ in triple)
+        for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            (ra, sa), (rb, sb), (rc, sc) = triple[a], triple[b], triple[c]
+            for ja, va in enumerate(slots):
+                for jb, vb in enumerate(slots):
+                    vc = -sc * (sa * va + sb * vb)
+                    if vc != 0 and abs(vc) <= k:
+                        supported += 1
+                        clauses.append(
+                            (-var(ra, ja), -var(rb, jb), var(rc, slot_of(vc)))
+                        )
+                    else:
+                        clauses.append((-var(ra, ja), -var(rb, jb)))
+        # Each member pair has as many supported value pairs as there
+        # are zero-sum value triples, whatever the orientation signs.
+        if supported != 3 * z_k:
+            raise AssertionError(
+                f"sign-adjusted support count {supported} != {3 * z_k}"
+            )
+    blocks = components(range(n_reps), neighbours)
+    for block in blocks:
+        clauses.append(tuple(var(block[0], j) for j in range(k, two_k)))
+    formula = CnfFormula(num_vars=n_reps * two_k, clauses=tuple(clauses))
+    expected = expected_support_clause_count(n_reps, len(triples), len(blocks), k)
+    if formula.n_clauses != expected:
+        raise AssertionError(
+            f"clause count {formula.n_clauses} != closed form {expected}"
+        )
+    return formula
 
 
 @dataclass(frozen=True)
@@ -171,13 +254,13 @@ def verify_labeling(labeling: Labeling, inst: FlowInstance) -> VerificationRepor
     return VerificationReport(not problems, tuple(problems))
 
 
-def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
-    """Read the chosen value per rep out of a satisfying assignment."""
-    slots = value_slots(inst.k)
+def _chosen_values(model: Sequence[int], n_reps: int, k: int) -> list[int]:
+    """The one value per rep that a model of either encoding selects."""
+    slots = value_slots(k)
     two_k = len(slots)
     positives = {lit for lit in model if lit > 0}
     values: list[int] = []
-    for rep in range(inst.n_reps):
+    for rep in range(n_reps):
         chosen = [
             slots[j] for j in range(two_k) if rep * two_k + j + 1 in positives
         ]
@@ -186,11 +269,64 @@ def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
                 f"rep {rep} has {len(chosen)} chosen values; encoding bug"
             )
         values.append(chosen[0])
-    labeling = Labeling(values=tuple(values))
+    return values
+
+
+def _checked(labeling: Labeling, inst: FlowInstance, route: str) -> Labeling:
     report = verify_labeling(labeling, inst)
     if not report.ok:
-        raise AssertionError(f"decoded witness fails checks: {report.violations}")
+        raise AssertionError(f"{route} fails checks: {report.violations}")
     return labeling
+
+
+def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
+    """Read the chosen value per rep out of a satisfying assignment."""
+    values = _chosen_values(model, inst.n_reps, inst.k)
+    return _checked(Labeling(values=tuple(values)), inst, "decoded witness")
+
+
+def decide_labeling(
+    inst: FlowInstance,
+    solve: Callable[[CnfFormula], SatResult] = sat_solve,
+) -> tuple[Optional[Labeling], tuple[int, ...]]:
+    """SAT route: decide an instance block by block on the support CNF.
+
+    Each class of mirror triples contributes its first triple only.  The
+    classes split into blocks that share representatives, decided
+    smallest first, each as ``solve(encode_support(...))`` over its own
+    reps renumbered from 0.  Returns a verified labeling, reps in no
+    triple taking the value 1, and ``()``; or, at the first refuted
+    block, None and the ids of every oriented triple of that block: any
+    instance keeping those triples has no labeling either.
+    """
+    q = inst.quotient
+    class_reps = [q.reps_of_class(cid) for cid in range(q.n_classes)]
+    by_rep: dict[int, list[int]] = {}
+    for cid, reps in enumerate(class_reps):
+        for r in reps:
+            by_rep.setdefault(r, []).append(cid)
+    sharing = [{c for r in reps for c in by_rep[r]} for reps in class_reps]
+    blocks = components(range(q.n_classes), sharing)
+    blocks.sort(key=len)
+    values = [1] * q.n_reps
+    for block in blocks:
+        reps = sorted({r for cid in block for r in class_reps[cid]})
+        remap = {r: i for i, r in enumerate(reps)}
+        constraints = tuple(
+            tuple(
+                (remap[r], s)
+                for r, s in q.oriented_triples[q.triple_classes[cid][0]]
+            )
+            for cid in block
+        )
+        result = solve(encode_support(len(reps), constraints, inst.k))
+        if not result.satisfiable:
+            return None, tuple(
+                tid for cid in block for tid in q.triple_classes[cid]
+            )
+        for r, v in zip(reps, _chosen_values(result.model, len(reps), inst.k)):
+            values[r] = v
+    return _checked(Labeling(values=tuple(values)), inst, "SAT labeling"), ()
 
 
 def backtrack_search(inst: FlowInstance) -> Optional[Labeling]:
@@ -203,11 +339,7 @@ def backtrack_search(inst: FlowInstance) -> Optional[Labeling]:
     solution = csp_solve(problem)
     if solution is None:
         return None
-    labeling = Labeling(values=solution)
-    report = verify_labeling(labeling, inst)
-    if not report.ok:
-        raise AssertionError(f"oracle labeling fails checks: {report.violations}")
-    return labeling
+    return _checked(Labeling(values=solution), inst, "oracle labeling")
 
 
 def min_flow_number(
@@ -219,7 +351,7 @@ def min_flow_number(
     for k in range(1, k_max + 1):
         inst = FlowInstance(q, k)
         if engine == "sat":
-            if sat_solve(encode_nzk(inst)).satisfiable:
+            if decide_labeling(inst)[0] is not None:
                 return k
         elif engine == "backtrack":
             if backtrack_search(inst) is not None:

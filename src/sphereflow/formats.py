@@ -308,7 +308,13 @@ class WitnessDocument:
                 "malformed witness document: k must be an integer and "
                 "values a list of integers"
             )
-        return cls(k=k, values=tuple(values), instance=str(raw.get("instance", "")))
+        version = raw.get("schema_version")
+        if not _is_int(version) or version != SCHEMA_VERSION:
+            raise DocumentError(f"unsupported witness schema version {version}")
+        instance = raw.get("instance", "")
+        if not isinstance(instance, str):
+            raise DocumentError("witness instance must be a string")
+        return cls(k=k, values=tuple(values), instance=instance)
 
 
 def _is_int(value: Any) -> bool:

@@ -9,7 +9,7 @@ sign.  Shared representatives between triples induce small cubic graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import EPSILON, PointSet, SpherePoint
 
@@ -19,6 +19,7 @@ __all__ = [
     "StructureError",
     "antipode_map",
     "classify_edge_orbits",
+    "components",
     "extract_cubic_graph",
     "is_isomorphic_to",
     "moebius_ladder_10",
@@ -33,6 +34,32 @@ class StructureError(ValueError):
 
 OrientedMember = tuple[int, int]
 OrientedTriple = tuple[OrientedMember, OrientedMember, OrientedMember]
+
+
+def components(
+    nodes: Iterable[int],
+    neighbours: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+) -> list[list[int]]:
+    """Connected components as sorted lists, ordered by smallest member.
+
+    ``neighbours[u]`` lists the nodes adjacent to node u.
+    """
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in neighbours[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,36 @@ def test_verify_icosi_k4_sat_with_witness(icosi_doc, tmp_path, capsys):
     assert report["decision"] == "SAT"
     assert report["verified"] is True
     assert report["counts"]["reps"] == 15
+
+
+# The published documents the benchmark also reads.
+PUBLISHED = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+@pytest.mark.parametrize(
+    "name, decision, counts",
+    [
+        ("icosi", "SAT", (30, 20, 15, 120, 9955)),
+        ("ce1", "UNSAT", (50, 40, 25, 200, 19765)),
+        ("ce2", "UNSAT", (36, 13, 18, 144, 6710)),
+    ],
+)
+def test_verify_report_counts_the_direct_encoding(name, decision, counts, tmp_path):
+    # deciding runs on the support encoding; the report still gives the
+    # published direct CNF's size
+    rpath = str(tmp_path / "r.json")
+    doc = str(PUBLISHED / f"{name}.json")
+    assert main(["verify", doc, "-k", "4", "--report-out", rpath]) == EXIT_OK
+    report = json.loads(open(rpath).read())
+    assert sorted(report) == [
+        "counts", "decision", "engines", "instance", "k", "oracle_agrees",
+        "verified", "wall_time_s", "witness",
+    ]
+    assert report["counts"] == dict(
+        zip(("points", "triples", "reps", "vars", "clauses"), counts)
+    )
+    assert report["decision"] == decision and report["verified"] is True
+    assert (report["witness"] is None) == (decision == "UNSAT")
 
 
 def test_verify_expect_mismatch_exit_code(icosi_doc, capsys):
@@ -317,6 +348,9 @@ def _fractional(values):
         lambda w: {**w, "values": {"1": 2}},
         lambda w: {**w, "values": "12"},
         lambda w: "[" * 100000 + "]" * 100000,
+        lambda w: {**w, "schema_version": 99},
+        lambda w: {**w, "schema_version": True},
+        lambda w: {**w, "instance": [1, 2]},
     ],
     ids=[
         "float-numbers",
@@ -325,6 +359,9 @@ def _fractional(values):
         "values-object",
         "values-string",
         "deep-nesting",
+        "bad-schema-version",
+        "bool-schema-version",
+        "instance-not-string",
     ],
 )
 def test_malformed_witness_is_a_one_line_error(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sphereflow.constructions import (
+    GOLDEN_RATIO,
     ConstructionError,
     _degree_prune,
     _select_points,
@@ -22,7 +24,6 @@ from sphereflow.constructions import (
     largest_connected_component,
     lift_to_exact,
     prune_low_degree,
-    radius2_integer_decomposition,
     symmetric_expansion,
     unsat_preserving_prune,
 )
@@ -99,6 +100,26 @@ def test_first_expansion_build_is_deterministic(ce1):
     again = build_first_expansion()
     assert [p.exact for p in again.points] == [p.exact for p in ce1.points]
     assert again.triples == ce1.triples
+
+
+X_UNIT = 2 * F1.t**3 / 5  # 2 / 5^(1/4)
+Y_UNIT = X_UNIT * GOLDEN_RATIO
+
+
+def radius2_integer_decomposition(e):
+    """Write e as an integer combination of 1, phi, x, y, or None.
+
+    Here phi is the golden ratio, x = 2/5^(1/4) and y = x*phi.  The four
+    elements form a Q-basis of the field, so the decomposition is unique;
+    only integrality can fail.
+    """
+    c0, c1, c2, c3 = e.coeffs
+    # 1 -> (1,0,0,0); phi -> (1/2,0,1/2,0); x -> (0,0,0,2/5); y -> (0,1,0,1/5)
+    a, b, cc, d = c0 - c2, 2 * c2, (5 * c3 - c1) / 2, c1
+    if any(v.denominator != 1 for v in (a, b, cc, d)):
+        return None
+    assert F1.from_rational(a) + b * GOLDEN_RATIO + cc * X_UNIT + d * Y_UNIT == e
+    return (int(a), int(b), int(cc), int(d))
 
 
 def test_radius2_decomposition_on_first_expansion(ce1):
@@ -213,6 +234,41 @@ def test_ce2_prune_report_consistency(ce2):
     assert removed_triples == 108 - 13
     removed_points = sum(p for p, _ in rep.rounds)
     assert removed_points == 126 - 36
+
+
+# The greedy prune's decisions and result, recorded when each step was
+# still decided on the direct encoding.  Every step is a SAT/UNSAT fact,
+# so no change of encoding or solver may move them.
+CE2_PRUNE_ROUNDS = (
+    (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+    (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+    (0, 3), (8, 3), (0, 3), (10, 3), (0, 1), (0, 1), (0, 1), (0, 1),
+    (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+    (0, 3), (8, 3), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+    (0, 1), (0, 1), (0, 1), (0, 4), (0, 4), (16, 4), (16, 4), (0, 4),
+    (0, 4), (16, 4), (16, 4), (0, 2), (0, 2), (0, 3), (0, 1),
+)
+CE2_FINAL_TRIPLES = (
+    (1, 8, 10), (1, 13, 16), (3, 4, 5), (3, 20, 23), (3, 21, 22),
+    (5, 16, 33), (6, 14, 31), (7, 12, 29), (7, 13, 28), (10, 22, 31),
+    (10, 23, 30), (11, 20, 29), (11, 21, 28),
+)
+
+
+def test_ce2_prune_decisions_are_pinned(ce2):
+    assert len(CE2_PRUNE_ROUNDS) == 55
+    assert ce2.prune_report.rounds == CE2_PRUNE_ROUNDS
+    assert ce2.final.triples == CE2_FINAL_TRIPLES
+
+
+def test_ce1_greedy_prune(ce1):
+    t0 = time.perf_counter()
+    pruned, report = unsat_preserving_prune(ce1, 4)
+    elapsed = time.perf_counter() - t0
+    assert (report.final_points, report.final_triples) == (40, 14)
+    assert (pruned.n_points, len(pruned.triples)) == (40, 14)
+    assert len(report.rounds) == 20
+    assert elapsed < 30.0, f"ce1 greedy prune took {elapsed:.1f}s, budget 30s"
 
 
 def test_ce2_selected_triples_are_zero_sums(ce2):

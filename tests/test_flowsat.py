@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from sphereflow.flows import (
     Labeling,
     backtrack_search,
     count_zero_sum_values,
+    decide_labeling,
     decode_witness,
     encode_nzk,
+    encode_support,
     expected_clause_count,
+    expected_support_clause_count,
     min_flow_number,
     min_mod_flow_number,
     value_slots,
@@ -26,14 +30,19 @@ from sphereflow.quotient import AntipodalQuotient
 from sphereflow.solver import sat_solve
 
 
-def synthetic_quotient(rng: random.Random, n_reps: int, n_triples: int):
+def synthetic_quotient(
+    rng: random.Random, n_reps: int, n_triples: int, triples=None
+):
     """A quotient skeleton for encoding tests; representative geometry is
-    irrelevant to the labeling problem, so dummy points suffice."""
+    irrelevant to the labeling problem, so dummy points suffice.  Given
+    ``triples``, it carries those instead of random ones, each triple in
+    a class of its own."""
     dummy = SpherePoint.from_floats(0.0, 0.0, 1.0)
-    triples = []
-    for _ in range(n_triples):
-        reps = sorted(rng.sample(range(n_reps), 3))
-        triples.append(tuple((r, rng.choice((-1, 1))) for r in reps))
+    if triples is None:
+        triples = []
+        for _ in range(n_triples):
+            reps = sorted(rng.sample(range(n_reps), 3))
+            triples.append(tuple((r, rng.choice((-1, 1))) for r in reps))
     return AntipodalQuotient(
         representatives=(dummy,) * n_reps,
         orientation=tuple((i, 1) for i in range(n_reps)),
@@ -75,6 +84,23 @@ def test_encoding_matches_closed_form(icosi_q, ce1_q, ce2_q):
         assert n_clauses == expected_clause_count(
             q.n_reps, len(inst.triples), k
         )
+
+
+def test_support_encoding_matches_closed_form(ce1_q):
+    # mirror triples collapsed, as decide_labeling hands them over: one
+    # block, 4566 clauses against the direct encoding's 19765
+    firsts = [ce1_q.oriented_triples[c[0]] for c in ce1_q.triple_classes]
+    formula = encode_support(ce1_q.n_reps, firsts, 4)
+    assert (formula.num_vars, formula.n_clauses) == (200, 4566)
+    assert formula.n_clauses == expected_support_clause_count(25, 20, 1, 4)
+    assert formula.clauses[-1] == (5, 6, 7, 8)  # rep 0 positive
+    # mirrors kept: each adds 3*(2k)^2 clauses, the block count stays
+    full = encode_support(ce1_q.n_reps, ce1_q.oriented_triples, 4)
+    assert full.n_clauses == 4566 + 20 * 3 * 64
+    # a rep in no triple is a block of its own
+    lone = encode_support(4, [((0, 1), (1, 1), (2, -1))], 1)
+    assert lone.clauses[-2:] == ((2,), (8,))
+    assert lone.n_clauses == expected_support_clause_count(4, 1, 2, 1)
 
 
 def test_encoding_is_byte_deterministic(icosi_q):
@@ -166,6 +192,66 @@ def test_adding_mirror_triples_never_changes_decision(seed):
     plain = sat_solve(encode_nzk(FlowInstance(base, k)))
     mirrored = sat_solve(encode_nzk(FlowInstance(doubled, k)))
     assert plain.satisfiable == mirrored.satisfiable
+
+
+def _renumbered(triples):
+    """The triples over reps 0..n-1, keeping only reps some triple uses.
+
+    The oracle branches on a rep in no triple like on any other, so each
+    such rep would multiply the cost of refuting an instance by 2k.
+    """
+    reps = sorted({r for t in triples for r, _ in t})
+    return [tuple((reps.index(r), s) for r, s in t) for t in triples], len(reps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    k=st.integers(min_value=1, max_value=4),
+    parts=st.integers(min_value=1, max_value=2),
+    mirrored=st.booleans(),
+)
+def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
+    """Direct CNF, support CNF, the blockwise SAT route and the CSP oracle
+    give one decision; every SAT witness checks out."""
+    rng = random.Random(seed)
+    triples: list = []
+    n_reps = 0
+    for _ in range(parts):  # two parts give at least two blocks
+        size = rng.randint(3, 5)
+        part = synthetic_quotient(rng, size, rng.randint(1, 4))
+        triples += [
+            tuple((r + n_reps, s) for r, s in t) for t in part.oriented_triples
+        ]
+        n_reps += size
+    base = len(triples)
+    chosen = sorted(rng.sample(range(base), rng.randint(1, base))) if mirrored else []
+    triples += [tuple((r, -s) for r, s in triples[i]) for i in chosen]
+    triples, n_reps = _renumbered(triples)
+    # each mirror joins its triple's class, as quotient_antipodal groups them
+    classes = [[i] for i in range(base)]
+    for j, i in enumerate(chosen):
+        classes[i].append(base + j)
+    q = synthetic_quotient(rng, n_reps, 0, triples)
+    q = replace(q, triple_classes=tuple(map(tuple, classes)))
+    inst = FlowInstance(q, k)
+
+    direct = sat_solve(encode_nzk(inst))
+    support = sat_solve(encode_support(n_reps, triples, k))
+    labeling, refuted = decide_labeling(inst)
+    oracle = backtrack_search(inst)
+    expected = oracle is not None
+    assert direct.satisfiable == support.satisfiable == expected
+    assert (labeling is not None) == expected
+    if expected:
+        assert verify_labeling(decode_witness(support.model, inst), inst).ok
+        assert verify_labeling(labeling, inst).ok
+        assert refuted == ()
+    else:
+        # the refuted block alone admits no labeling
+        core, n_core = _renumbered([triples[tid] for tid in refuted])
+        sub = FlowInstance(synthetic_quotient(rng, n_core, 0, core), k)
+        assert core and backtrack_search(sub) is None
 
 
 def test_min_flow_number_icosi(icosi_q):

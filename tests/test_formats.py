@@ -297,6 +297,7 @@ def test_witness_loader_fuzz(text):
     except ValueError:
         return
     assert all(type(v) is int for v in (doc.k, *doc.values))
+    assert doc.schema_version == 1 and isinstance(doc.instance, str)
 
 
 DIMACS_TOKENS = st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-3", "x", "1.5", "-0"])
