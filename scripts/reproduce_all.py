@@ -7,17 +7,15 @@ configuration — and prints one line per derived quantity.  Exits nonzero
 on the first mismatch.
 
 Usage:
-    python3 scripts/reproduce_all.py [--fast]
+    python3 scripts/reproduce_all.py
 
---fast skips the two greedy prunes.  On a 2-vCPU machine under CPython
-3.11 the full run takes about 45 s, of which the 50-point expansion's
-prune takes about 13 s and the second construction's search-and-prune
-about 15 s; with --fast it takes about 9 s.
+On a 2-vCPU machine under CPython 3.11 the run takes 15-22 s, of which
+the 50-point expansion's prune takes about 3.5 s and the second
+construction's search-and-prune about 3 s.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -75,11 +73,6 @@ def banner(text: str) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--fast", action="store_true", help="skip the greedy prunes"
-    )
-    args = parser.parse_args()
     t_start = time.perf_counter()
 
     banner("vertex configuration (icosi)")
@@ -133,58 +126,51 @@ def main() -> int:
         is_isomorphic_to(new_graph, moebius_ladder_10()),
     )
 
-    if not args.fast:
-        banner("greedy prune of ce1 at k=4")
-        t0 = time.perf_counter()
-        pruned, report = unsat_preserving_prune(ce1, 4)
-        dt = time.perf_counter() - t0
-        print(f"  prune finished in {dt:.1f}s, {len(report.rounds)} committed steps")
-        check("pruned points (recorded derived value)", pruned.n_points, 40)
-        check("pruned triples (recorded derived value)", len(pruned.triples), 14)
-        check("pruned size within the 40-point bound", pruned.n_points <= 40)
-        q_pruned = quotient_antipodal(pruned)
-        sat4p, oracle4p = decide(q_pruned, 4)
-        check("pruned configuration still refutes k=4 (SAT engine)", not sat4p)
-        check("pruned configuration still refutes k=4 (oracle)", not oracle4p)
+    banner("greedy prune of ce1 at k=4")
+    t0 = time.perf_counter()
+    pruned, report = unsat_preserving_prune(ce1, 4)
+    dt = time.perf_counter() - t0
+    print(f"  prune finished in {dt:.1f}s, {len(report.rounds)} committed steps")
+    check("pruned points (recorded derived value)", pruned.n_points, 40)
+    check("pruned triples (recorded derived value)", len(pruned.triples), 14)
+    check("pruned size within the 40-point bound", pruned.n_points <= 40)
+    q_pruned = quotient_antipodal(pruned)
+    sat4p, oracle4p = decide(q_pruned, 4)
+    check("pruned configuration still refutes k=4 (SAT engine)", not sat4p)
+    check("pruned configuration still refutes k=4 (oracle)", not oracle4p)
 
     banner("second counterexample (ce2)")
-    if args.fast:
-        print("  skipped (--fast): the search-and-prune pipeline takes about 15 s")
-    else:
-        ce2 = build_second_counterexample()
-        check("survey kept values", len(ce2.survey.kept), 11)
-        check(
-            "survey exact values",
-            sum(1 for c in ce2.survey.kept if c.exact is not None),
-            8,
-        )
-        check("candidate cloud points", ce2.cloud.n_points, 210)
-        check("candidate cloud triples", len(ce2.cloud.triples), 116)
-        check("largest component points", ce2.component.n_points, 126)
-        check("largest component triples", len(ce2.component.triples), 108)
-        check("final points", ce2.n_points, 36)
-        check("final triples", ce2.n_triples, 13)
-        check("final antipodal pairs", count_antipodal_pairs(ce2.final), 18)
-        check("final coordinates all exact", ce2.final.all_exact)
-        q_ce2 = quotient_antipodal(ce2.final)
-        check("quotient representatives", q_ce2.n_reps, 18)
-        f4 = encode_nzk(FlowInstance(q_ce2, 4))
-        check("k=4 variables", f4.num_vars, 144)
-        check("k=4 clauses", f4.n_clauses, 6710)
-        f5 = encode_nzk(FlowInstance(q_ce2, 5))
-        check("k=5 variables", f5.num_vars, 180)
-        check("k=5 clauses", f5.n_clauses, 13048)
-        sat4, oracle4 = decide(q_ce2, 4)
-        check("k=4 refuted by SAT engine", not sat4)
-        check("k=4 refuted by oracle", not oracle4)
-        sat5, _ = decide(q_ce2, 5)
-        check("k=5 labeled (witness verified)", sat5)
+    ce2 = build_second_counterexample()
+    check("survey kept values", len(ce2.survey.kept), 11)
+    check(
+        "survey exact values",
+        sum(1 for c in ce2.survey.kept if c.exact is not None),
+        8,
+    )
+    check("candidate cloud points", ce2.cloud.n_points, 210)
+    check("candidate cloud triples", len(ce2.cloud.triples), 116)
+    check("largest component points", ce2.component.n_points, 126)
+    check("largest component triples", len(ce2.component.triples), 108)
+    check("final points", ce2.n_points, 36)
+    check("final triples", ce2.n_triples, 13)
+    check("final antipodal pairs", count_antipodal_pairs(ce2.final), 18)
+    check("final coordinates all exact", ce2.final.all_exact)
+    q_ce2 = quotient_antipodal(ce2.final)
+    check("quotient representatives", q_ce2.n_reps, 18)
+    f4 = encode_nzk(FlowInstance(q_ce2, 4))
+    check("k=4 variables", f4.num_vars, 144)
+    check("k=4 clauses", f4.n_clauses, 6710)
+    f5 = encode_nzk(FlowInstance(q_ce2, 5))
+    check("k=5 variables", f5.num_vars, 180)
+    check("k=5 clauses", f5.n_clauses, 13048)
+    sat4, oracle4 = decide(q_ce2, 4)
+    check("k=4 refuted by SAT engine", not sat4)
+    check("k=4 refuted by oracle", not oracle4)
+    sat5, _ = decide(q_ce2, 5)
+    check("k=5 labeled (witness verified)", sat5)
 
     banner("minimal bounds, integer vs modular")
-    targets = [("icosi", q_icosi, 4)]
-    targets.append(("ce1", q_ce1, 5))
-    if not args.fast:
-        targets.append(("ce2", q_ce2, 5))
+    targets = [("icosi", q_icosi, 4), ("ce1", q_ce1, 5), ("ce2", q_ce2, 5)]
     for name, q, expected_k in targets:
         k_int = min_flow_number(q, 6, engine="sat")
         m_mod = min_mod_flow_number(q, 7)

@@ -60,7 +60,7 @@ from .quotient import (
     quotient_antipodal,
 )
 from .render import render_svg, witness_point_labels
-from .solver import CnfFormula, SatResult, parse_dimacs, sat_solve
+from .solver import CnfFormula, SatResult, Solver, parse_dimacs, sat_solve
 
 __all__ = [
     "AntipodalQuotient",
@@ -80,6 +80,7 @@ __all__ = [
     "RunReport",
     "SatResult",
     "SecondConstruction",
+    "Solver",
     "SpherePoint",
     "StructureError",
     "WitnessDocument",

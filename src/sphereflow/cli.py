@@ -105,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     decisions: dict[str, bool] = {}
     witness_values: Optional[tuple[int, ...]] = None
     for engine in engines:
-        lab = decide_labeling(inst)[0] if engine == "sat" else backtrack_search(inst)
+        lab = decide_labeling(inst) if engine == "sat" else backtrack_search(inst)
         decisions[engine] = lab is not None
         if lab is not None and witness_values is None:
             witness_values = lab.values

@@ -31,9 +31,9 @@ from .geometry import (
     find_zero_sum_triples,
     small_circle_intersection,
 )
-from .flows import FlowInstance, decide_labeling
+from .flows import FlowInstance, decide_labeling, encode_support
 from .quotient import antipode_map, components, quotient_antipodal
-from .solver import sat_solve as sat_solve_cdcl
+from .solver import Solver, sat_solve as sat_solve_cdcl
 
 
 class ConstructionError(RuntimeError):
@@ -398,19 +398,16 @@ def largest_connected_component(ps: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _labeling_exists(ps: PointSet, k: int) -> tuple[bool, tuple[Triple, ...]]:
+def _labeling_exists(ps: PointSet, k: int) -> bool:
     """Decide whether a nowhere-zero k-bounded labeling exists.
 
-    Decided by ``decide_labeling`` on the quotient, one block at a time,
-    with the conflict-learning solver.  When no labeling exists, also
-    returns the triples of one refuted block; any point set retaining
-    all of them stays unsatisfiable.
+    Decided from scratch by ``decide_labeling`` on the quotient, one
+    block at a time, with the conflict-learning solver.
     """
     if not ps.triples:
-        return True, ()
+        return True
     q = quotient_antipodal(ps)
-    labeling, refuted = decide_labeling(FlowInstance(q, k), sat_solve_cdcl)
-    return labeling is not None, tuple(ps.triples[tid] for tid in refuted)
+    return decide_labeling(FlowInstance(q, k), sat_solve_cdcl) is not None
 
 
 def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]:
@@ -420,20 +417,52 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
     A candidate step removes the triple, re-applies the degree prune with
     the antipode map as partner map (so every surviving point keeps its
     antipode and the set stays quotientable), and is committed only when
-    no k-bounded labeling exists afterwards.  One refuted constraint
-    block is cached: steps that do not touch it are committed without a
-    fresh search.  A single pass is locally minimal because constraint
-    removal can only enlarge the solution set, so a rejected removal
-    stays rejected.
+    no k-bounded labeling exists afterwards.  A single pass is locally
+    minimal because constraint removal can only enlarge the solution
+    set, so a rejected removal stays rejected.
+
+    Every step is decided on one incremental solver over the input's
+    guarded support CNF, one selector per class of mirror triples: a
+    step assumes the selectors of the classes that keep a live triple
+    and the negations of the others.  A refuted step's failed
+    assumptions name a set of classes that admits no labeling on its
+    own; it replaces the cached core, and a step that keeps a live
+    triple in every core class is committed without a search
+    (clause-set refinement, as in MUSer2, Belov & Marques-Silva 2012).
 
     A trailing pass drops antipodal mirror duplicates among the
     surviving triples: a triple and its mirror impose the same quotient
     constraint, so removing one member changes nothing the solver sees.
     Points are never dropped there, keeping the pair structure (and the
-    variable count of the encoded instance) intact.
+    variable count of the encoded instance) intact.  The result is
+    refuted once more from scratch by ``_labeling_exists``.
     """
-    sat, core = _labeling_exists(ps, k)
-    if sat:
+    q = quotient_antipodal(ps)
+    n_classes = q.n_classes
+    class_of = {
+        ps.triples[tid]: cid
+        for cid, tids in enumerate(q.triple_classes)
+        for tid in tids
+    }
+    formula = encode_support(
+        q.n_reps,
+        [q.oriented_triples[tids[0]] for tids in q.triple_classes],
+        k,
+        guarded=True,
+    )
+    first = q.n_reps * 2 * k + 1  # selector of class 0
+    solver = Solver(formula)
+
+    def refuted(triples: Iterable[Triple]) -> Optional[set[int]]:
+        """Core classes when the triples admit no labeling, else None."""
+        live = {class_of[t] for t in triples}
+        result = solver.solve(
+            [first + c if c in live else -(first + c) for c in range(n_classes)]
+        )
+        return None if result.satisfiable else {lit - first for lit in result.core}
+
+    core = refuted(ps.triples)
+    if core is None:
         raise ValueError(
             f"input admits a labeling at k={k}; nothing to preserve"
         )
@@ -441,7 +470,6 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
 
     alive_points = list(range(ps.n_points))
     alive_triples = list(ps.triples)
-    core_set = set(core)
     rounds: list[tuple[int, int]] = []
 
     for candidate in ps.triples:
@@ -450,19 +478,19 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
         trial_points, trial_triples, trial_rounds = _degree_prune(
             alive_points, [t for t in alive_triples if t != candidate], anti
         )
-        removed = set(alive_triples) - set(trial_triples)
-        if removed & core_set:
-            sub = _select_points(ps.with_triples(trial_triples), trial_points)
-            sat, sub_core = _labeling_exists(sub, k)
-            if sat:
+        if not core <= {class_of[t] for t in trial_triples}:
+            trial_core = refuted(trial_triples)
+            if trial_core is None:
                 continue
-            core_set = {
-                tuple(sorted(trial_points[i] for i in t)) for t in sub_core
-            }
+            core = trial_core
+        removed = len(alive_triples) - len(trial_triples)
         alive_points = trial_points
         alive_triples = trial_triples
-        rounds.append((sum(p for p, _ in trial_rounds), len(removed)))
+        rounds.append((sum(p for p, _ in trial_rounds), removed))
 
+    # Free the solver and its learned clauses before the fresh refutation
+    # below builds another, so the two do not add up in peak memory.
+    del refuted, solver, formula
     seen: set[Triple] = set()
     deduped: list[Triple] = []
     for t in alive_triples:
@@ -474,8 +502,9 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
         deduped.append(t)
 
     final = _select_points(ps.with_triples(deduped), alive_points)
-    sat, _ = _labeling_exists(final, k)
-    _require(not sat, "pruned configuration must stay unlabelable")
+    _require(
+        not _labeling_exists(final, k), "pruned configuration must stay unlabelable"
+    )
     report = PruneReport(tuple(rounds), final.n_points, len(final.triples))
     return final, report
 

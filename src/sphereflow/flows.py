@@ -159,57 +159,75 @@ def expected_support_clause_count(
     return n_reps * (1 + comb(two_k, 2)) + n_triples * 3 * two_k**2 + n_blocks
 
 
+def _support_clauses(triple: OrientedTriple, k: int) -> list[tuple[int, ...]]:
+    """The 3*(2k)^2 support clauses of one oriented triple.
+
+    Per member pair (a, b) with third member c, in the order (1,2),
+    (1,3), (2,3): for every value pair, the clause -a(va) | -b(vb) | c(vc),
+    where vc is the value the triple then forces on c; c(vc) is left out
+    when vc is zero or beyond k.  Each distinct literal is one shared int
+    object, which keeps a formula of many triples small in memory.
+    """
+    slots = value_slots(k)
+    two_k = len(slots)
+    pos = [[r * two_k + j + 1 for j in range(two_k)] for r, _ in triple]
+    neg = [[-lit for lit in row] for row in pos]
+    clauses: list[tuple[int, ...]] = []
+    supported = 0
+    for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        sa, sb, sc = triple[a][1], triple[b][1], triple[c][1]
+        for ja, va in enumerate(slots):
+            for jb, vb in enumerate(slots):
+                vc = -sc * (sa * va + sb * vb)
+                if vc != 0 and abs(vc) <= k:
+                    supported += 1
+                    jc = vc + k if vc < 0 else vc + k - 1
+                    clauses.append((neg[a][ja], neg[b][jb], pos[c][jc]))
+                else:
+                    clauses.append((neg[a][ja], neg[b][jb]))
+    # Each member pair has as many supported value pairs as there are
+    # zero-sum value triples, whatever the orientation signs.
+    if supported != 3 * count_zero_sum_values(k):
+        raise AssertionError(
+            f"sign-adjusted support count {supported} != "
+            f"{3 * count_zero_sum_values(k)}"
+        )
+    return clauses
+
+
 def encode_support(
-    n_reps: int, triples: Sequence[OrientedTriple], k: int
+    n_reps: int, triples: Sequence[OrientedTriple], k: int, guarded: bool = False
 ) -> CnfFormula:
     """Support-encoding CNF with the variable layout of encode_triples.
 
     Per rep: the at-least-one clause then the pairwise at-most-one
-    clauses.  Per oriented triple and member pair (a, b) with third
-    member c, in the order (1,2), (1,3), (2,3): for every value pair, the
-    clause -a(va) | -b(vb) | c(vc), where vc is the value the triple then
-    forces on c; c(vc) is left out when vc is zero or beyond k.  Last,
-    one clause per connected block of reps makes its smallest rep
-    positive, which is sound because negating a labeling gives another.
+    clauses.  Per oriented triple: its ``_support_clauses``.  Last, one
+    clause per connected block of reps makes its smallest rep positive,
+    which is sound because negating a labeling gives another.
+
+    With ``guarded``, triple i also gets the selector variable
+    n_reps*2k + i + 1, and every one of its clauses the literal -s_i:
+    assuming s_i imposes the triple and assuming -s_i drops it.  The
+    sign-breaking clauses stay unguarded.  They remain sound for any
+    subset of the triples, because negating the part of a block that
+    holds its smallest rep still maps labelings to labelings.
     """
-    slots = value_slots(k)
-    two_k = len(slots)
-
-    def var(rep: int, slot: int) -> int:
-        return rep * two_k + slot + 1
-
-    def slot_of(value: int) -> int:
-        return value + k if value < 0 else value + k - 1
-
+    two_k = 2 * k
     clauses = _one_value_clauses(n_reps, two_k)
-    z_k = count_zero_sum_values(k)
     neighbours: list[set[int]] = [set() for _ in range(n_reps)]
-    for triple in triples:
-        supported = 0
+    for i, triple in enumerate(triples):
         for r, _ in triple:
             neighbours[r].update(m for m, _ in triple)
-        for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            (ra, sa), (rb, sb), (rc, sc) = triple[a], triple[b], triple[c]
-            for ja, va in enumerate(slots):
-                for jb, vb in enumerate(slots):
-                    vc = -sc * (sa * va + sb * vb)
-                    if vc != 0 and abs(vc) <= k:
-                        supported += 1
-                        clauses.append(
-                            (-var(ra, ja), -var(rb, jb), var(rc, slot_of(vc)))
-                        )
-                    else:
-                        clauses.append((-var(ra, ja), -var(rb, jb)))
-        # Each member pair has as many supported value pairs as there
-        # are zero-sum value triples, whatever the orientation signs.
-        if supported != 3 * z_k:
-            raise AssertionError(
-                f"sign-adjusted support count {supported} != {3 * z_k}"
-            )
+        if guarded:
+            guard = (-(n_reps * two_k + i + 1),)
+            clauses += [c + guard for c in _support_clauses(triple, k)]
+        else:
+            clauses += _support_clauses(triple, k)
     blocks = components(range(n_reps), neighbours)
     for block in blocks:
-        clauses.append(tuple(var(block[0], j) for j in range(k, two_k)))
-    formula = CnfFormula(num_vars=n_reps * two_k, clauses=tuple(clauses))
+        clauses.append(tuple(block[0] * two_k + j + 1 for j in range(k, two_k)))
+    num_vars = n_reps * two_k + (len(triples) if guarded else 0)
+    formula = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
     expected = expected_support_clause_count(n_reps, len(triples), len(blocks), k)
     if formula.n_clauses != expected:
         raise AssertionError(
@@ -288,16 +306,14 @@ def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
 def decide_labeling(
     inst: FlowInstance,
     solve: Callable[[CnfFormula], SatResult] = sat_solve,
-) -> tuple[Optional[Labeling], tuple[int, ...]]:
+) -> Optional[Labeling]:
     """SAT route: decide an instance block by block on the support CNF.
 
     Each class of mirror triples contributes its first triple only.  The
     classes split into blocks that share representatives, decided
     smallest first, each as ``solve(encode_support(...))`` over its own
     reps renumbered from 0.  Returns a verified labeling, reps in no
-    triple taking the value 1, and ``()``; or, at the first refuted
-    block, None and the ids of every oriented triple of that block: any
-    instance keeping those triples has no labeling either.
+    triple taking the value 1, or None at the first refuted block.
     """
     q = inst.quotient
     class_reps = [q.reps_of_class(cid) for cid in range(q.n_classes)]
@@ -321,12 +337,10 @@ def decide_labeling(
         )
         result = solve(encode_support(len(reps), constraints, inst.k))
         if not result.satisfiable:
-            return None, tuple(
-                tid for cid in block for tid in q.triple_classes[cid]
-            )
+            return None
         for r, v in zip(reps, _chosen_values(result.model, len(reps), inst.k)):
             values[r] = v
-    return _checked(Labeling(values=tuple(values)), inst, "SAT labeling"), ()
+    return _checked(Labeling(values=tuple(values)), inst, "SAT labeling")
 
 
 def backtrack_search(inst: FlowInstance) -> Optional[Labeling]:
@@ -351,7 +365,7 @@ def min_flow_number(
     for k in range(1, k_max + 1):
         inst = FlowInstance(q, k)
         if engine == "sat":
-            if decide_labeling(inst)[0] is not None:
+            if decide_labeling(inst) is not None:
                 return k
         elif engine == "backtrack":
             if backtrack_search(inst) is not None:

@@ -105,7 +105,8 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
     """Complete search; returns one assignment or None when none exists.
 
     Deterministic: branches on the smallest domain (ties by index) with
-    values in ascending order.
+    values in ascending order.  Only variables some triple constrains are
+    branched on; any other variable takes its smallest value.
     """
     by_var: dict[int, list[int]] = {}
     for ti, t in enumerate(problem.triples):
@@ -116,7 +117,7 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
         return None
 
     def search(domains: list[set[int]]) -> Optional[list[set[int]]]:
-        open_vars = [r for r in range(problem.n_vars) if len(domains[r]) > 1]
+        open_vars = [r for r in by_var if len(domains[r]) > 1]
         if not open_vars:
             return domains
         r = min(open_vars, key=lambda v: (len(domains[v]), v))

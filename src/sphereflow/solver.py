@@ -1,8 +1,11 @@
 """CNF formulas, DIMACS I/O and the SAT engine that decides them.
 
-``sat_solve`` is a conflict-driven search: first-UIP clause learning
+``Solver`` is a conflict-driven search: first-UIP clause learning
 (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), activity-based
-branching, phase saving and Luby restarts.  Binary and ternary clauses,
+branching, phase saving and Luby restarts.  It decides one formula under
+successive sets of assumption literals, keeping what it learned, and
+explains each refuted set by the assumptions it used; ``sat_solve`` is
+the one-shot form.  Binary and ternary clauses,
 nearly all of a labeling encoding, are propagated from occurrence
 lists; longer clauses use two watched literals.  It is fully
 deterministic: ties break on variable index and nothing is randomized.
@@ -19,6 +22,7 @@ from typing import Optional, Sequence
 __all__ = [
     "CnfFormula",
     "SatResult",
+    "Solver",
     "parse_dimacs",
     "sat_solve",
 ]
@@ -82,8 +86,11 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A decision; ``core`` holds the failed assumptions of an UNSAT one."""
+
     satisfiable: bool
     model: Optional[tuple[int, ...]]
+    core: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.satisfiable
@@ -118,254 +125,332 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
-def sat_solve(formula: CnfFormula) -> SatResult:
-    """Complete decision procedure; SAT results carry a verified model.
+class Solver:
+    """One formula, decided under any number of assumption sets.
 
-    Deterministic for a fixed input formula: branching ties break on
-    the lowest variable index and nothing is randomized.
+    Clauses, learned clauses, variable activities and saved phases carry
+    over from one ``solve`` call to the next, so a run of closely related
+    queries shares its work (MiniSat's incremental interface, Eén &
+    Sörensson, SAT 2003).  Deterministic for a fixed formula and a fixed
+    sequence of calls: branching ties break on the lowest variable index
+    and nothing is randomized.
     """
-    n = formula.num_vars
-    # Per-literal tables have 2n+1 slots: a negative literal indexes
-    # from the end, so ``table[lit]`` needs no sign test in the hot path.
-    size = 2 * n + 1
-    # Binary and ternary clauses sit on full occurrence lists, which need
-    # no upkeep when assignments change; longer clauses (the at-least-one
-    # rows and most learned clauses) use two watched literals.
-    bins: list[list[int]] = [[] for _ in range(size)]
-    terns: list[list[int]] = [[] for _ in range(size)]  # flat pairs
-    watch: list[list[list[int]]] = [[] for _ in range(size)]
 
-    def add_clause(c: list[int]) -> None:
-        if len(c) == 2:
-            bins[c[0]].append(c[1])
-            bins[c[1]].append(c[0])
-        elif len(c) == 3:
-            a, b, d = c
-            terns[a] += (b, d)
-            terns[b] += (a, d)
-            terns[d] += (a, b)
-        else:
-            watch[c[0]].append(c)
-            watch[c[1]].append(c)
+    def __init__(self, formula: CnfFormula) -> None:
+        self.formula = formula
+        n = formula.num_vars
+        # Per-literal tables have 2n+1 slots: a negative literal indexes
+        # from the end, so ``table[lit]`` needs no sign test in the hot path.
+        size = 2 * n + 1
+        # Binary and ternary clauses sit on full occurrence lists, which need
+        # no upkeep when assignments change; longer clauses (the at-least-one
+        # rows, guarded clauses and most learned clauses) use two watched
+        # literals.
+        bins: list[list[int]] = [[] for _ in range(size)]
+        terns: list[list[int]] = [[] for _ in range(size)]  # flat pairs
+        watch: list[list[list[int]]] = [[] for _ in range(size)]
 
-    units: list[int] = []
-    for clause in formula.clauses:
-        lits = list(dict.fromkeys(clause))
-        if any(-lit in clause for lit in lits):
-            continue
-        if not lits:
-            return SatResult(False, None)
-        if len(lits) == 1:
-            units.append(lits[0])
-        else:
-            add_clause(lits)
-
-    val = [0] * size  # 1 true, -1 false, 0 unassigned; indexed by literal
-    level = [0] * (n + 1)
-    # the clause that implied each variable, implied literal included;
-    # empty for decisions and level-0 units
-    reason: list[Sequence[int]] = [()] * (n + 1)
-    trail: list[int] = []
-    trail_lim: list[int] = []  # trail length at each decision
-    activity = [0.0] * (n + 1)
-    phase = [True] * (n + 1)
-    bump = 1.0
-
-    def enqueue(lit: int, why: Sequence[int]) -> bool:
-        v = val[lit]
-        if v != 0:
-            return v > 0
-        val[lit] = 1
-        val[-lit] = -1
-        var = lit if lit > 0 else -lit
-        level[var] = len(trail_lim)
-        reason[var] = why
-        trail.append(lit)
-        return True
-
-    def propagate(head: int) -> tuple[int, Sequence[int]]:
-        """Returns (new head, conflicting clause or empty)."""
-        # Hot path: implications are recorded inline, not via enqueue(),
-        # to keep Python call overhead out of the inner loops.
-        while head < len(trail):
-            false_lit = -trail[head]
-            head += 1
-            lv = len(trail_lim)
-            for a in bins[false_lit]:
-                va = val[a]
-                if va > 0:
-                    continue
-                if va < 0:
-                    return head, (false_lit, a)
-                val[a] = 1
-                val[-a] = -1
-                var = a if a > 0 else -a
-                level[var] = lv
-                reason[var] = (a, false_lit)
-                trail.append(a)
-            pairs = iter(terns[false_lit])
-            for a, b in zip(pairs, pairs):
-                va = val[a]
-                if va > 0:
-                    continue
-                vb = val[b]
-                if vb > 0:
-                    continue
-                if va < 0:
-                    if vb < 0:
-                        return head, (false_lit, a, b)
-                    a, b = b, a
-                elif vb == 0:
-                    continue
-                # a is unassigned and the clause's other literals are false
-                val[a] = 1
-                val[-a] = -1
-                var = a if a > 0 else -a
-                level[var] = lv
-                reason[var] = (a, false_lit, b)
-                trail.append(a)
-            watchers = watch[false_lit]
-            if not watchers:
-                continue
-            kept: list[list[int]] = []
-            j = 0
-            nw = len(watchers)
-            while j < nw:
-                c = watchers[j]
-                j += 1
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], c[0]
-                first = c[0]
-                a0 = val[first]
-                if a0 > 0:
-                    kept.append(c)
-                    continue
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if val[lk] >= 0:
-                        c[1], c[k] = lk, false_lit
-                        watch[lk].append(c)
-                        break
-                else:
-                    kept.append(c)
-                    if a0 < 0:
-                        kept.extend(watchers[j:])
-                        watch[false_lit] = kept
-                        return head, c
-                    val[first] = 1
-                    val[-first] = -1
-                    var = first if first > 0 else -first
-                    level[var] = lv
-                    reason[var] = c
-                    trail.append(first)
-            watch[false_lit] = kept
-        return head, ()
-
-    def bump_var(var: int) -> None:
-        nonlocal bump
-        activity[var] += bump
-        if activity[var] > 1e100:
-            for v in range(1, n + 1):
-                activity[v] *= 1e-100
-            bump *= 1e-100
-
-    def analyze(conflict: Sequence[int]) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to jump back to."""
-        learned: list[int] = []
-        seen = [False] * (n + 1)
-        counter = 0
-        p = 0  # propagated literal being resolved on, 0 on the first pass
-        clause = conflict
-        idx = len(trail) - 1
-        cur = len(trail_lim)
-        while True:
-            for lit in clause:
-                if lit == p:
-                    continue
-                var = lit if lit > 0 else -lit
-                if not seen[var] and level[var] > 0:
-                    seen[var] = True
-                    bump_var(var)
-                    if level[var] == cur:
-                        counter += 1
-                    else:
-                        learned.append(lit)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
-            p = trail[idx]
-            var = p if p > 0 else -p
-            seen[var] = False
-            idx -= 1
-            counter -= 1
-            if counter == 0:
-                break
-            clause = reason[var]
-        learned.insert(0, -p)
-        if len(learned) == 1:
-            return learned, 0
-        back = 0
-        pos = 1
-        for i in range(1, len(learned)):
-            lv = level[abs(learned[i])]
-            if lv > back:
-                back, pos = lv, i
-        # watch a backjump-level literal so the clause wakes up correctly
-        learned[1], learned[pos] = learned[pos], learned[1]
-        return learned, back
-
-    def backjump(to_level: int) -> None:
-        mark = trail_lim[to_level]
-        for lit in trail[mark:]:
-            var = lit if lit > 0 else -lit
-            phase[var] = lit > 0
-            val[lit] = 0
-            val[-lit] = 0
-            reason[var] = ()
-        del trail[mark:]
-        del trail_lim[to_level:]
-
-    for u in units:
-        if not enqueue(u, ()):
-            return SatResult(False, None)
-    head, conflict = propagate(0)
-    if conflict:
-        return SatResult(False, None)
-
-    conflicts_total = 0
-    restart_idx = 1
-    restart_budget = _luby(1) * _RESTART_UNIT
-    while True:
-        best, best_act = 0, -1.0
-        for v in range(1, n + 1):
-            if val[v] == 0 and activity[v] > best_act:
-                best, best_act = v, activity[v]
-        if best == 0:
-            model = tuple(v if val[v] > 0 else -v for v in range(1, n + 1))
-            if not check_model(formula, model):
-                raise AssertionError("solver produced a non-model")
-            return SatResult(True, model)
-        trail_lim.append(len(trail))
-        enqueue(best if phase[best] else -best, ())
-        while True:
-            head, conflict = propagate(head)
-            if not conflict:
-                break
-            conflicts_total += 1
-            if not trail_lim:
-                return SatResult(False, None)
-            learned, back = analyze(conflict)
-            backjump(back)
-            head = len(trail)
-            if len(learned) == 1:
-                if not enqueue(learned[0], ()):
-                    return SatResult(False, None)
+        def add_clause(c: list[int]) -> None:
+            if len(c) == 2:
+                bins[c[0]].append(c[1])
+                bins[c[1]].append(c[0])
+            elif len(c) == 3:
+                a, b, d = c
+                terns[a] += (b, d)
+                terns[b] += (a, d)
+                terns[d] += (a, b)
             else:
-                add_clause(learned)
-                enqueue(learned[0], learned)
-            bump /= _ACTIVITY_DECAY
-            if conflicts_total >= restart_budget:
-                restart_idx += 1
-                restart_budget = conflicts_total + _luby(restart_idx) * _RESTART_UNIT
-                if trail_lim:
-                    backjump(0)
+                watch[c[0]].append(c)
+                watch[c[1]].append(c)
+
+        # False once the formula is refuted without any assumption.
+        ok = True
+        units: list[int] = []
+        for clause in formula.clauses:
+            lits = list(dict.fromkeys(clause))
+            if any(-lit in clause for lit in lits):
+                continue
+            if not lits:
+                ok = False
+            elif len(lits) == 1:
+                units.append(lits[0])
+            else:
+                add_clause(lits)
+
+        val = [0] * size  # 1 true, -1 false, 0 unassigned; indexed by literal
+        # neg[lit] is -lit as one shared int object, so the literals that
+        # learned clauses keep are not each a fresh object.
+        neg = [-v for v in range(n + 1)] + list(range(n, 0, -1))
+        level = [0] * (n + 1)
+        # the clause that implied each variable, implied literal included;
+        # empty for decisions and level-0 units
+        reason: list[Sequence[int]] = [()] * (n + 1)
+        trail: list[int] = []
+        trail_lim: list[int] = []  # trail length at each decision
+        activity = [0.0] * (n + 1)
+        phase = [True] * (n + 1)
+        bump = 1.0
+
+        def enqueue(lit: int, why: Sequence[int]) -> bool:
+            v = val[lit]
+            if v != 0:
+                return v > 0
+            val[lit] = 1
+            val[-lit] = -1
+            var = lit if lit > 0 else -lit
+            level[var] = len(trail_lim)
+            reason[var] = why
+            trail.append(lit)
+            return True
+
+        def propagate(head: int) -> tuple[int, Sequence[int]]:
+            """Returns (new head, conflicting clause or empty)."""
+            # Hot path: implications are recorded inline, not via enqueue(),
+            # to keep Python call overhead out of the inner loops.
+            while head < len(trail):
+                false_lit = neg[trail[head]]
+                head += 1
+                lv = len(trail_lim)
+                for a in bins[false_lit]:
+                    va = val[a]
+                    if va > 0:
+                        continue
+                    if va < 0:
+                        return head, (false_lit, a)
+                    val[a] = 1
+                    val[-a] = -1
+                    var = a if a > 0 else -a
+                    level[var] = lv
+                    reason[var] = (a, false_lit)
+                    trail.append(a)
+                pairs = iter(terns[false_lit])
+                for a, b in zip(pairs, pairs):
+                    va = val[a]
+                    if va > 0:
+                        continue
+                    vb = val[b]
+                    if vb > 0:
+                        continue
+                    if va < 0:
+                        if vb < 0:
+                            return head, (false_lit, a, b)
+                        a, b = b, a
+                    elif vb == 0:
+                        continue
+                    # a is unassigned and the clause's other literals are false
+                    val[a] = 1
+                    val[-a] = -1
+                    var = a if a > 0 else -a
+                    level[var] = lv
+                    reason[var] = (a, false_lit, b)
+                    trail.append(a)
+                watchers = watch[false_lit]
+                if not watchers:
+                    continue
+                kept: list[list[int]] = []
+                j = 0
+                nw = len(watchers)
+                while j < nw:
+                    c = watchers[j]
+                    j += 1
+                    if c[0] == false_lit:
+                        c[0], c[1] = c[1], c[0]
+                    first = c[0]
+                    a0 = val[first]
+                    if a0 > 0:
+                        kept.append(c)
+                        continue
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if val[lk] >= 0:
+                            c[1], c[k] = lk, false_lit
+                            watch[lk].append(c)
+                            break
+                    else:
+                        kept.append(c)
+                        if a0 < 0:
+                            kept.extend(watchers[j:])
+                            watch[false_lit] = kept
+                            return head, c
+                        val[first] = 1
+                        val[-first] = -1
+                        var = first if first > 0 else -first
+                        level[var] = lv
+                        reason[var] = c
+                        trail.append(first)
+                watch[false_lit] = kept
+            return head, ()
+
+        def bump_var(var: int) -> None:
+            nonlocal bump
+            activity[var] += bump
+            if activity[var] > 1e100:
+                for v in range(1, n + 1):
+                    activity[v] *= 1e-100
+                bump *= 1e-100
+
+        def analyze(conflict: Sequence[int]) -> tuple[list[int], int]:
+            """First-UIP learned clause and the level to jump back to."""
+            learned: list[int] = []
+            seen = [False] * (n + 1)
+            counter = 0
+            p = 0  # propagated literal being resolved on, 0 on the first pass
+            clause = conflict
+            idx = len(trail) - 1
+            cur = len(trail_lim)
+            while True:
+                for lit in clause:
+                    if lit == p:
+                        continue
+                    var = lit if lit > 0 else -lit
+                    if not seen[var] and level[var] > 0:
+                        seen[var] = True
+                        bump_var(var)
+                        if level[var] == cur:
+                            counter += 1
+                        else:
+                            learned.append(lit)
+                while not seen[abs(trail[idx])]:
+                    idx -= 1
+                p = trail[idx]
+                var = p if p > 0 else -p
+                seen[var] = False
+                idx -= 1
+                counter -= 1
+                if counter == 0:
+                    break
+                clause = reason[var]
+            learned.insert(0, neg[p])
+            if len(learned) == 1:
+                return learned, 0
+            back = 0
+            pos = 1
+            for i in range(1, len(learned)):
+                lv = level[abs(learned[i])]
+                if lv > back:
+                    back, pos = lv, i
+            # watch a backjump-level literal so the clause wakes up correctly
+            learned[1], learned[pos] = learned[pos], learned[1]
+            return learned, back
+
+        def analyze_final(p: int) -> tuple[int, ...]:
+            """The assumptions that force assumption ``p`` false, ``p`` first.
+
+            Every decision on the trail is an assumption here, so walking
+            the implication graph back from ``-p`` to the decisions it
+            rests on gives a subset of the assumptions the formula refutes.
+            """
+            core = [p]
+            seen = {abs(p)}
+            if trail_lim:
+                for lit in reversed(trail[trail_lim[0]:]):
+                    var = lit if lit > 0 else -lit
+                    if var not in seen:
+                        continue
+                    why = reason[var]
+                    if not why:
+                        core.append(lit)
+                    for q in why:
+                        if level[abs(q)] > 0:
+                            seen.add(abs(q))
+            return tuple(core)
+
+        def backjump(to_level: int) -> None:
+            mark = trail_lim[to_level]
+            for lit in trail[mark:]:
+                var = lit if lit > 0 else -lit
+                phase[var] = lit > 0
+                val[lit] = 0
+                val[-lit] = 0
+                reason[var] = ()
+            del trail[mark:]
+            del trail_lim[to_level:]
+
+        def search(assumptions: tuple[int, ...]) -> SatResult:
+            nonlocal bump, ok
+            if not ok:
+                return SatResult(False, None)
+            if trail_lim:
+                backjump(0)
+            head = len(trail)
+            n_assumed = len(assumptions)
+            conflicts_total = 0
+            restart_idx = 1
+            restart_budget = _luby(1) * _RESTART_UNIT
+            while True:
+                while True:
+                    head, conflict = propagate(head)
+                    if not conflict:
+                        break
+                    conflicts_total += 1
+                    if not trail_lim:
+                        ok = False
+                        return SatResult(False, None)
+                    learned, back = analyze(conflict)
+                    backjump(back)
                     head = len(trail)
+                    if len(learned) == 1:
+                        if not enqueue(learned[0], ()):
+                            ok = False
+                            return SatResult(False, None)
+                    else:
+                        add_clause(learned)
+                        enqueue(learned[0], learned)
+                    bump /= _ACTIVITY_DECAY
+                    if conflicts_total >= restart_budget:
+                        restart_idx += 1
+                        restart_budget = (
+                            conflicts_total + _luby(restart_idx) * _RESTART_UNIT
+                        )
+                        if trail_lim:
+                            backjump(0)
+                            head = len(trail)
+                # Assumptions are decided first, one level each; one that
+                # already holds gets an empty level so levels stay aligned.
+                lv = len(trail_lim)
+                if lv < n_assumed:
+                    p = assumptions[lv]
+                    if val[p] < 0:
+                        return SatResult(False, None, analyze_final(p))
+                    trail_lim.append(len(trail))
+                    enqueue(p, ())
+                    continue
+                best, best_act = 0, -1.0
+                for v in range(1, n + 1):
+                    if val[v] == 0 and activity[v] > best_act:
+                        best, best_act = v, activity[v]
+                if best == 0:
+                    model = tuple(v if val[v] > 0 else -v for v in range(1, n + 1))
+                    if not check_model(formula, model) or any(
+                        val[a] < 0 for a in assumptions
+                    ):
+                        raise AssertionError("solver produced a non-model")
+                    return SatResult(True, model)
+                trail_lim.append(len(trail))
+                enqueue(best if phase[best] else neg[best], ())
+
+        for u in units:
+            if not enqueue(u, ()):
+                ok = False
+        if ok and propagate(0)[1]:
+            ok = False
+        self._search = search
+
+    def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
+        """Decide the formula with every assumption literal forced true.
+
+        A SAT result carries a model checked against every clause and
+        assumption.  An UNSAT result carries in ``core`` the failed
+        assumptions, a subset of ``assumptions`` that the formula refutes
+        on its own, found by final-conflict analysis; the core is empty
+        when the formula has no model at all.
+        """
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > self.formula.num_vars:
+                raise ValueError(f"assumption {lit} out of range")
+        return self._search(tuple(assumptions))
+
+
+def sat_solve(formula: CnfFormula) -> SatResult:
+    """One-shot decision of a formula; see ``Solver``."""
+    return Solver(formula).solve()

@@ -1,9 +1,9 @@
 """Shared fixtures: the bundled constructions are built once per session.
 
-The second configuration's search-and-prune pipeline takes 12-15 s on
-a 2-vCPU machine under CPython 3.11, so every test that needs it shares
-one build; the same goes for the cheaper constructions and their
-antipodal quotients.
+The second configuration's search-and-prune pipeline takes 2-5 s on a
+2-vCPU machine under CPython 3.11, the most of any fixture, so every
+test that needs it shares one build; the same goes for the cheaper
+constructions and their antipodal quotients.
 """
 
 from __future__ import annotations

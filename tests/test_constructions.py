@@ -268,7 +268,7 @@ def test_ce1_greedy_prune(ce1):
     assert (report.final_points, report.final_triples) == (40, 14)
     assert (pruned.n_points, len(pruned.triples)) == (40, 14)
     assert len(report.rounds) == 20
-    assert elapsed < 30.0, f"ce1 greedy prune took {elapsed:.1f}s, budget 30s"
+    assert elapsed < 10.0, f"ce1 greedy prune took {elapsed:.1f}s, budget 10s"
 
 
 def test_ce2_selected_triples_are_zero_sums(ce2):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -26,8 +27,9 @@ from sphereflow.flows import (
     verify_labeling,
 )
 from sphereflow.geometry import SpherePoint
+from sphereflow.oracle import CspProblem, csp_solve
 from sphereflow.quotient import AntipodalQuotient
-from sphereflow.solver import sat_solve
+from sphereflow.solver import Solver, sat_solve
 
 
 def synthetic_quotient(
@@ -194,16 +196,6 @@ def test_adding_mirror_triples_never_changes_decision(seed):
     assert plain.satisfiable == mirrored.satisfiable
 
 
-def _renumbered(triples):
-    """The triples over reps 0..n-1, keeping only reps some triple uses.
-
-    The oracle branches on a rep in no triple like on any other, so each
-    such rep would multiply the cost of refuting an instance by 2k.
-    """
-    reps = sorted({r for t in triples for r, _ in t})
-    return [tuple((reps.index(r), s) for r, s in t) for t in triples], len(reps)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -227,7 +219,6 @@ def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
     base = len(triples)
     chosen = sorted(rng.sample(range(base), rng.randint(1, base))) if mirrored else []
     triples += [tuple((r, -s) for r, s in triples[i]) for i in chosen]
-    triples, n_reps = _renumbered(triples)
     # each mirror joins its triple's class, as quotient_antipodal groups them
     classes = [[i] for i in range(base)]
     for j, i in enumerate(chosen):
@@ -238,7 +229,7 @@ def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
 
     direct = sat_solve(encode_nzk(inst))
     support = sat_solve(encode_support(n_reps, triples, k))
-    labeling, refuted = decide_labeling(inst)
+    labeling = decide_labeling(inst)
     oracle = backtrack_search(inst)
     expected = oracle is not None
     assert direct.satisfiable == support.satisfiable == expected
@@ -246,12 +237,73 @@ def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
     if expected:
         assert verify_labeling(decode_witness(support.model, inst), inst).ok
         assert verify_labeling(labeling, inst).ok
-        assert refuted == ()
-    else:
-        # the refuted block alone admits no labeling
-        core, n_core = _renumbered([triples[tid] for tid in refuted])
-        sub = FlowInstance(synthetic_quotient(rng, n_core, 0, core), k)
-        assert core and backtrack_search(sub) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    k=st.integers(min_value=1, max_value=3),
+)
+def test_guarded_support_decides_each_set_of_live_classes(seed, k):
+    """One solver over the guarded support CNF, as the greedy prune runs
+    it, decides each set of live classes as decide_labeling decides the
+    instance of just those classes; a refuted set's core classes alone
+    admit no labeling."""
+    rng = random.Random(seed)
+    n_reps = rng.randint(3, 8)
+    base = synthetic_quotient(rng, n_reps, rng.randint(1, 7)).oriented_triples
+    triples = list(base)
+    classes = [[i] for i in range(len(base))]
+    for i, t in enumerate(base):
+        if rng.random() < 0.5:
+            classes[i].append(len(triples))
+            triples.append(tuple((r, -s) for r, s in t))
+    n_classes = len(classes)
+
+    def instance(cids) -> FlowInstance:
+        kept = [classes[c] for c in cids]
+        groups, start = [], 0
+        for members in kept:
+            groups.append(tuple(range(start, start + len(members))))
+            start += len(members)
+        q = synthetic_quotient(rng, n_reps, 0, [triples[t] for m in kept for t in m])
+        return FlowInstance(replace(q, triple_classes=tuple(groups)), k)
+
+    formula = encode_support(n_reps, [triples[m[0]] for m in classes], k, guarded=True)
+    first = n_reps * 2 * k + 1  # selector of class 0
+    solver = Solver(formula)
+    for _ in range(4):
+        live = sorted(rng.sample(range(n_classes), rng.randint(0, n_classes)))
+        res = solver.solve(
+            [first + c if c in live else -(first + c) for c in range(n_classes)]
+        )
+        inst = instance(live)
+        assert res.satisfiable == (decide_labeling(inst) is not None)
+        if res.satisfiable:
+            assert verify_labeling(decode_witness(res.model, inst), inst).ok
+        else:
+            core = {lit - first for lit in res.core}
+            assert core <= set(live)
+            assert backtrack_search(instance(sorted(core))) is None
+
+
+def test_oracle_ignores_reps_in_no_triple(ce2_q):
+    """Three reps in no triple, numbered first so that they would win
+    ties, cost the oracle nothing and take their smallest value: ce2
+    stays refuted at k=4, and its k=5 labeling is unchanged."""
+    n = ce2_q.n_reps
+    shifted = tuple(
+        tuple((r + 3, s) for r, s in t) for t in ce2_q.oriented_triples
+    )
+    for k in (4, 5):
+        base = csp_solve(CspProblem(n, ce2_q.oriented_triples, value_slots(k)))
+        t0 = time.perf_counter()
+        padded = csp_solve(CspProblem(n + 3, shifted, value_slots(k)))
+        elapsed = time.perf_counter() - t0
+        assert (base is None) == (k == 4)
+        assert padded == (None if base is None else (-k,) * 3 + base)
+        # branching on the free reps multiplied the k=4 refutation by 8^3
+        assert elapsed < 5.0, f"k={k} with free reps took {elapsed:.1f}s"
 
 
 def test_min_flow_number_icosi(icosi_q):

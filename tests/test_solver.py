@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereflow.solver import CnfFormula, SatResult, check_model, parse_dimacs, sat_solve
+from sphereflow.solver import (
+    CnfFormula,
+    SatResult,
+    Solver,
+    check_model,
+    parse_dimacs,
+    sat_solve,
+)
 
 
 def brute_force_sat(formula: CnfFormula) -> bool:
@@ -142,6 +149,64 @@ def test_solver_vs_brute_property(seed):
     assert res.satisfiable == brute_force_sat(f)
     if res.satisfiable:
         assert check_model(f, res.model)
+
+
+def _with_units(f: CnfFormula, lits) -> CnfFormula:
+    return CnfFormula(f.num_vars, f.clauses + tuple((lit,) for lit in lits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    wide=st.booleans(),
+)
+def test_assumptions_cores_and_successive_solves(seed, wide):
+    """One solver under a run of assumption sets decides each as a fresh
+    solve of the formula plus the assumptions as unit clauses, and every
+    core is a subset of its assumptions that the formula refutes."""
+    rng = random.Random(seed)
+    if wide:  # clauses of four or more literals take the watched path
+        n = rng.randint(1, 8)
+        clauses = tuple(
+            tuple(
+                rng.choice((1, -1)) * rng.randint(1, n)
+                for _ in range(rng.randint(1, 6))
+            )
+            for _ in range(rng.randint(0, 5 * n))
+        )
+        f = CnfFormula(n, clauses)
+    else:
+        f = random_formula(rng, max_vars=8)
+    solver = Solver(f)
+    for _ in range(5):
+        # literals drawn with replacement, so repeats and p, -p pairs occur
+        assumptions = tuple(
+            rng.choice((1, -1)) * rng.randint(1, f.num_vars)
+            for _ in range(rng.randint(0, f.num_vars))
+        )
+        res = solver.solve(assumptions)
+        units = _with_units(f, assumptions)
+        expected = brute_force_sat(units)
+        assert res.satisfiable == expected
+        assert sat_solve(units).satisfiable == expected
+        if expected:
+            assert check_model(units, res.model) and res.core == ()
+        else:
+            assert set(res.core) <= set(assumptions)
+            assert not brute_force_sat(_with_units(f, res.core))
+
+
+def test_core_names_the_failed_assumptions():
+    # 1 -> 2 and 2 -> -3: assuming 1 and 3 fails; 4 plays no part
+    solver = Solver(CnfFormula(4, ((-1, 2), (-2, -3))))
+    res = solver.solve((4, 1, 3))
+    assert not res.satisfiable and sorted(res.core) == [1, 3]
+    assert solver.solve((4, 1)).satisfiable
+    # a formula refuted without assumptions has an empty core
+    res = Solver(CnfFormula(1, ((1,), (-1,)))).solve((1,))
+    assert not res.satisfiable and res.core == ()
+    with pytest.raises(ValueError):
+        solver.solve((5,))
 
 
 def test_satresult_truthiness():
