@@ -6,8 +6,8 @@ the greedy prunes of the 50-point expansion and of the searched second
 configuration — and prints one line per derived quantity.  Exits nonzero
 on the first mismatch.
 
-Usage:
-    python3 scripts/reproduce_all.py
+Usage (from the repository root):
+    PYTHONPATH=src python3 scripts/reproduce_all.py
 
 On a 2-vCPU machine under CPython 3.11 the run takes 15-22 s, of which
 the 50-point expansion's prune takes about 3.5 s and the second
@@ -172,7 +172,7 @@ def main() -> int:
     banner("minimal bounds, integer vs modular")
     targets = [("icosi", q_icosi, 4), ("ce1", q_ce1, 5), ("ce2", q_ce2, 5)]
     for name, q, expected_k in targets:
-        k_int = min_flow_number(q, 6, engine="sat")
+        k_int = min_flow_number(q, 6)
         m_mod = min_mod_flow_number(q, 7)
         check(f"{name}: minimal value bound", k_int, expected_k)
         check(f"{name}: minimal modulus", m_mod, expected_k + 1)

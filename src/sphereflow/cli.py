@@ -259,7 +259,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_flow_compare(args: argparse.Namespace) -> int:
     ps, name = _load_pointset(args)
     q = quotient_antipodal(ps)
-    k_int = min_flow_number(q, args.k_max, engine="sat")
+    k_int = min_flow_number(q, args.k_max)
     m_mod = min_mod_flow_number(q, max(args.k_max + 1, 2))
     int_desc = "none found" if k_int is None else str(k_int)
     mod_desc = "none found" if m_mod is None else str(m_mod)

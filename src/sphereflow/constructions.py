@@ -209,9 +209,6 @@ class CandidateValue:
 
     value: float
     exact: Optional[FieldElement]
-    w1: int
-    w2: int
-    kind: str  # "rat" or "sqrt"
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ def candidate_coordinate_survey() -> CandidateSurvey:
     seen_exact: set[FieldElement] = set()
     seen_float: list[float] = []
 
-    def add(value: float, exact: Optional[FieldElement], w1: int, w2: int, kind: str) -> None:
+    def add(value: float, exact: Optional[FieldElement]) -> None:
         if exact is not None:
             if exact in seen_exact:
                 return
@@ -245,7 +242,7 @@ def candidate_coordinate_survey() -> CandidateSurvey:
             if any(abs(value - v) <= 1e-12 for v in seen_float):
                 return
         seen_float.append(value)
-        kept.append(CandidateValue(value, exact, w1, w2, kind))
+        kept.append(CandidateValue(value, exact))
 
     w = SURVEY_PARAMETERS["w"]
     for w1 in range(0, w + 1):
@@ -256,13 +253,13 @@ def candidate_coordinate_survey() -> CandidateSurvey:
             c_rat = base / 2
             if (c_rat - 1).sign() > 0:
                 continue
-            add(c_rat.to_float(), c_rat, w1, w2, "rat")
+            add(c_rat.to_float(), c_rat)
             c_sqrt = field_sqrt(c_rat)
             if c_sqrt is not None:
-                add(c_sqrt.to_float(), c_sqrt, w1, w2, "sqrt")
+                add(c_sqrt.to_float(), c_sqrt)
             else:
                 value = math.sqrt(c_rat.to_float())
-                add(value, None, w1, w2, "sqrt")
+                add(value, None)
                 dropped.append(
                     f"sqrt branch at (w1={w1}, w2={w2}): square root of "
                     f"{c_rat.coeffs} is not in the field; kept as float only"
@@ -430,9 +427,9 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
     triple in every core class is committed without a search
     (clause-set refinement, as in MUSer2, Belov & Marques-Silva 2012).
 
-    A trailing pass drops antipodal mirror duplicates among the
-    surviving triples: a triple and its mirror impose the same quotient
-    constraint, so removing one member changes nothing the solver sees.
+    A trailing pass keeps the first surviving triple of each mirror
+    class: a triple and its mirror impose the same quotient constraint,
+    so removing one member changes nothing the solver sees.
     Points are never dropped there, keeping the pair structure (and the
     variable count of the encoded instance) intact.  The result is
     refuted once more from scratch by ``_labeling_exists``.
@@ -491,14 +488,13 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
     # Free the solver and its learned clauses before the fresh refutation
     # below builds another, so the two do not add up in peak memory.
     del refuted, solver, formula
-    seen: set[Triple] = set()
+    seen: set[int] = set()
     deduped: list[Triple] = []
     for t in alive_triples:
-        mirror: Triple = tuple(sorted(anti[i] for i in t))
-        if mirror in seen:
+        if class_of[t] in seen:
             rounds.append((0, 1))
             continue
-        seen.add(t)
+        seen.add(class_of[t])
         deduped.append(t)
 
     final = _select_points(ps.with_triples(deduped), alive_points)

@@ -356,22 +356,13 @@ def backtrack_search(inst: FlowInstance) -> Optional[Labeling]:
     return _checked(Labeling(values=solution), inst, "oracle labeling")
 
 
-def min_flow_number(
-    q: AntipodalQuotient, k_max: int, engine: str = "sat"
-) -> Optional[int]:
+def min_flow_number(q: AntipodalQuotient, k_max: int) -> Optional[int]:
     """Smallest value bound k <= k_max admitting a labeling, else None."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     for k in range(1, k_max + 1):
-        inst = FlowInstance(q, k)
-        if engine == "sat":
-            if decide_labeling(inst) is not None:
-                return k
-        elif engine == "backtrack":
-            if backtrack_search(inst) is not None:
-                return k
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+        if decide_labeling(FlowInstance(q, k)) is not None:
+            return k
     return None
 
 

@@ -1,19 +1,21 @@
 """Unit-sphere geometry over exact field coordinates or plain floats.
 
-Detection and deduplication have two modes.  Exact mode works on
-points whose coordinates are FieldElements and decides every predicate
-with exact arithmetic.  Approximate mode works on float coordinates
-with the one tolerance EPSILON and exists to cross-validate the exact
-path (and to drive searches whose intermediate values leave the field).
-Small-circle intersection is exact only.
+Every point carries a float shadow, and every point search (zero-sum
+triples, duplicates, antipodes) finds its candidates on one grid of
+float shadows with cells of side EPSILON.  The mode of the point set
+decides only the confirm test: exact sets confirm each candidate by
+exact arithmetic in the field, float sets within EPSILON.  The
+O(n^3) brute-force triple search is the independent reference the
+tests compare against.  Small-circle intersection is exact only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .field import FieldElement, Rational, field_sqrt
 
@@ -26,7 +28,7 @@ class ExactnessError(ValueError):
     """Raised when an exact computation would have to leave the field."""
 
 
-# The tolerance of every approximate-mode (float) comparison.
+# The tolerance of every float comparison and the side of a shadow-grid cell.
 EPSILON = 1e-7
 
 ExactCoords = tuple[FieldElement, FieldElement, FieldElement]
@@ -131,6 +133,56 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# the shadow grid
+# ---------------------------------------------------------------------------
+
+_NEIGHBOURHOOD = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+
+def _cell(v: FloatCoords) -> tuple[int, int, int]:
+    return (
+        math.floor(v[0] / EPSILON),
+        math.floor(v[1] / EPSILON),
+        math.floor(v[2] / EPSILON),
+    )
+
+
+def _shadow_grid(points: Sequence[SpherePoint]) -> Callable[[FloatCoords], list[int]]:
+    """Index points by float shadow in cubes of side EPSILON.
+
+    Returns ``near(target)``: the indices in the 27 cells around the
+    target's cell, which include every point within EPSILON of the
+    target in each coordinate.  An exact point's shadow comes from
+    to_float within 2**-64, so every exact zero sum, negation or
+    equality has its shadow a few roundings from its target, far inside
+    one cell; confirming the candidates exactly misses none of them.
+    """
+    cells: dict[tuple[int, int, int], list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault(_cell(p.floats), []).append(i)
+
+    def near(target: FloatCoords) -> list[int]:
+        cx, cy, cz = _cell(target)
+        return [
+            i
+            for ox, oy, oz in _NEIGHBOURHOOD
+            for i in cells.get((cx + ox, cy + oy, cz + oz), ())
+        ]
+
+    return near
+
+
+def _is_zero_sum(exact: bool, *points: SpherePoint) -> bool:
+    """Whether the points sum to zero: in the field when exact, else
+    within EPSILON in every coordinate of their float shadows."""
+    first, *rest = [p.exact if exact else p.floats for p in points]
+    sums = [sum((v[c] for v in rest), first[c]) for c in range(3)]
+    if exact:
+        return all(s.is_zero for s in sums)
+    return all(abs(s) <= EPSILON for s in sums)
+
+
+# ---------------------------------------------------------------------------
 # zero-sum triple detection
 # ---------------------------------------------------------------------------
 
@@ -138,56 +190,28 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
     """All index triples i<j<k whose points sum to the zero vector.
 
-    Exact mode resolves the third point by hash lookup of the negated
-    pair sum; approximate mode uses an epsilon grid.  Either way the
-    cost is O(n^2) pair enumeration, not the O(n^3) brute force.
+    For every pair the shadow grid proposes third points near the
+    negated pair sum, and ``_is_zero_sum`` confirms each.  The cost is
+    O(n^2) pair enumeration, not the O(n^3) brute force.  Raises
+    ValueError on a duplicated exact point.
     """
     pts = ps.points
-    if ps.all_exact:
-        index: dict[ExactCoords, int] = {}
+    exact = ps.all_exact
+    near = _shadow_grid(pts)
+    if exact:
         for i, p in enumerate(pts):
-            key = p.exact
-            if key in index:
-                raise ValueError(f"duplicate exact point at indices {index[key]} and {i}")
-            index[key] = i
-        out = []
-        for i in range(len(pts)):
-            a = pts[i].exact
-            for j in range(i + 1, len(pts)):
-                b = pts[j].exact
-                target = (-(a[0] + b[0]), -(a[1] + b[1]), -(a[2] + b[2]))
-                k = index.get(target)
-                if k is not None and k > j:
-                    out.append((i, j, k))
-        return tuple(sorted(out))
-
-    eps = EPSILON
-    grid: dict[tuple[int, int, int], list[int]] = {}
+            for j in near(p.floats):
+                if j < i and pts[j].exact == p.exact:
+                    raise ValueError(f"duplicate exact point at indices {j} and {i}")
+    out = []
     for i, p in enumerate(pts):
-        cell = tuple(math.floor(v / eps) for v in p.floats)
-        grid.setdefault(cell, []).append(i)
-    found = set()
-    offsets = [-1, 0, 1]
-    for i in range(len(pts)):
-        a = pts[i].floats
+        a = p.floats
         for j in range(i + 1, len(pts)):
             b = pts[j].floats
-            tx, ty, tz = -(a[0] + b[0]), -(a[1] + b[1]), -(a[2] + b[2])
-            cx, cy, cz = math.floor(tx / eps), math.floor(ty / eps), math.floor(tz / eps)
-            for ox in offsets:
-                for oy in offsets:
-                    for oz in offsets:
-                        for k in grid.get((cx + ox, cy + oy, cz + oz), ()):
-                            if k <= j or k == i:
-                                continue
-                            c = pts[k].floats
-                            if (
-                                abs(a[0] + b[0] + c[0]) <= eps
-                                and abs(a[1] + b[1] + c[1]) <= eps
-                                and abs(a[2] + b[2] + c[2]) <= eps
-                            ):
-                                found.add((i, j, k))
-    return tuple(sorted(found))
+            for k in near((-(a[0] + b[0]), -(a[1] + b[1]), -(a[2] + b[2]))):
+                if k > j and _is_zero_sum(exact, p, pts[j], pts[k]):
+                    out.append((i, j, k))
+    return tuple(sorted(out))
 
 
 def find_zero_sum_triples_brute(ps: PointSet) -> tuple[Triple, ...]:
@@ -271,23 +295,21 @@ def small_circle_intersection(
 def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
     """Merge duplicate points, keeping the first-seen representative.
 
-    Exact inputs are merged on exact coordinate equality.  Float inputs
-    are merged by transitive closure of Euclidean distance <= EPSILON.
+    Candidates come from the shadow grid.  Exact inputs are merged on
+    exact coordinate equality, float inputs by transitive closure of
+    Euclidean distance <= EPSILON.
     """
-    if all(p.is_exact for p in raw):
-        seen: dict[ExactCoords, int] = {}
-        out = []
-        for p in raw:
-            if p.exact not in seen:
-                seen[p.exact] = len(out)
-                out.append(p)
-        return PointSet(tuple(out))
-    if any(p.is_exact for p in raw):
+    exact = all(p.is_exact for p in raw)
+    if not exact and any(p.is_exact for p in raw):
         raise ValueError("dedup_points requires points of a single mode")
 
-    eps = EPSILON
-    n = len(raw)
-    parent = list(range(n))
+    def same(p: SpherePoint, q: SpherePoint) -> bool:
+        if exact:
+            return p.exact == q.exact
+        d2 = sum((x - y) ** 2 for x, y in zip(p.floats, q.floats))
+        return d2 <= EPSILON * EPSILON
+
+    parent = list(range(len(raw)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -295,23 +317,10 @@ def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i in range(n):
-        a = raw[i].floats
-        for j in range(i + 1, n):
-            b = raw[j].floats
-            d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-            if d2 <= eps * eps:
-                union(i, j)
-    reps = []
-    seen_roots: set[int] = set()
-    for i in range(n):
-        r = find(i)
-        if r not in seen_roots:
-            seen_roots.add(r)
-            reps.append(raw[r])
-    return PointSet(tuple(reps))
+    near = _shadow_grid(raw)
+    for i, p in enumerate(raw):
+        for j in near(p.floats):
+            if j < i and same(p, raw[j]):
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    return PointSet(tuple(p for i, p in enumerate(raw) if find(i) == i))

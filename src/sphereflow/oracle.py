@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .quotient import components
+
 __all__ = ["CspProblem", "csp_solve"]
 
 OrientedMember = tuple[int, int]
@@ -104,9 +106,11 @@ def _propagate(
 def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
     """Complete search; returns one assignment or None when none exists.
 
-    Deterministic: branches on the smallest domain (ties by index) with
-    values in ascending order.  Only variables some triple constrains are
-    branched on; any other variable takes its smallest value.
+    Deterministic: the blocks of variables that share triples are
+    searched one at a time, smallest variable first, and None comes at
+    the first refuted block.  A block's search branches on the smallest
+    domain (ties by index) with values in ascending order.  A variable
+    no triple constrains takes its smallest value.
     """
     by_var: dict[int, list[int]] = {}
     for ti, t in enumerate(problem.triples):
@@ -116,8 +120,8 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
     if not _propagate(problem, domains, by_var, range(len(problem.triples))):
         return None
 
-    def search(domains: list[set[int]]) -> Optional[list[set[int]]]:
-        open_vars = [r for r in by_var if len(domains[r]) > 1]
+    def search(domains: list[set[int]], block: list[int]) -> Optional[list[set[int]]]:
+        open_vars = [r for r in block if len(domains[r]) > 1]
         if not open_vars:
             return domains
         r = min(open_vars, key=lambda v: (len(domains[v]), v))
@@ -126,15 +130,20 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
             trial[r] = {v}
             if not _propagate(problem, trial, by_var, by_var.get(r, ())):
                 continue
-            result = search(trial)
+            result = search(trial, block)
             if result is not None:
                 return result
         return None
 
-    solved = search(domains)
-    if solved is None:
-        return None
-    values = tuple(min(d) for d in solved)
+    neighbours = {
+        r: [m for ti in tis for m, _ in problem.triples[ti]]
+        for r, tis in by_var.items()
+    }
+    for block in components(by_var, neighbours):
+        domains = search(domains, block)
+        if domains is None:
+            return None
+    values = tuple(min(d) for d in domains)
     for t in problem.triples:
         if not problem.sum_ok(t, values):
             raise AssertionError("oracle produced an invalid assignment")

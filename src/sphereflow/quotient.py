@@ -9,9 +9,9 @@ sign.  Shared representatives between triples induce small cubic graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .geometry import EPSILON, PointSet, SpherePoint
+from .geometry import EPSILON, PointSet, SpherePoint, _is_zero_sum, _shadow_grid
 
 __all__ = [
     "AntipodalQuotient",
@@ -95,35 +95,25 @@ class AntipodalQuotient:
 
 
 def antipode_map(ps: PointSet) -> dict[int, int]:
-    """Map each point index to the index of its antipode in the set.
+    """Map each point index to the smallest index of its antipode.
 
-    Exact point sets match by hashing the negated coordinates.  Float
-    point sets take the first index within EPSILON of the negation in
-    every coordinate.  Raises StructureError when a point has none.
+    Candidates come from the shadow grid around the negated shadow, and
+    ``_is_zero_sum`` confirms each: in the field for an exact set,
+    within EPSILON per coordinate for a float set.  Raises
+    StructureError when a point has none.
     """
-    if ps.all_exact:
-        index = {p.exact: i for i, p in enumerate(ps.points)}
-
-        def find(p: SpherePoint) -> Optional[int]:
-            return index.get(tuple(-c for c in p.exact))
-
-    else:
-        eps = EPSILON
-        floats = [p.floats for p in ps.points]
-
-        def find(p: SpherePoint) -> Optional[int]:
-            px, py, pz = p.floats
-            for j, (qx, qy, qz) in enumerate(floats):
-                if abs(px + qx) <= eps and abs(py + qy) <= eps and abs(pz + qz) <= eps:
-                    return j
-            return None
-
+    exact = ps.all_exact
+    near = _shadow_grid(ps.points)
     out = {}
     for i, p in enumerate(ps.points):
-        j = find(p)
-        if j is None:
+        hits = [
+            j
+            for j in near(tuple(-v for v in p.floats))
+            if _is_zero_sum(exact, p, ps.points[j])
+        ]
+        if not hits:
             raise StructureError(f"point {i} has no antipode in the set")
-        out[i] = j
+        out[i] = min(hits)
     return out
 
 

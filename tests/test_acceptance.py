@@ -319,7 +319,7 @@ def test_criterion_12_integer_and_modular_minima_agree(icosi_q, ce1_q, ce2_q):
     expected = {"icosi": 4, "ce1": 5, "ce2": 5}
     quotients = {"icosi": icosi_q, "ce1": ce1_q, "ce2": ce2_q}
     for name, q in quotients.items():
-        k_int = min_flow_number(q, 6, engine="sat")
+        k_int = min_flow_number(q, 6)
         m_mod = min_mod_flow_number(q, 7)
         assert k_int == expected[name], (name, k_int)
         assert m_mod == k_int + 1, (name, k_int, m_mod)

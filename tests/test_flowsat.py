@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 import time
 from dataclasses import replace
 
@@ -306,10 +307,50 @@ def test_oracle_ignores_reps_in_no_triple(ce2_q):
         assert elapsed < 5.0, f"k={k} with free reps took {elapsed:.1f}s"
 
 
+def test_oracle_refutes_a_block_numbered_last(icosi_q, ce2_q):
+    """icosi's quotient (labelable at k=4) followed by ce2's (refuted at
+    k=4) as one instance: the oracle searches each block on its own, so
+    ce2's refutation is not repeated under every labeling of icosi."""
+    n = icosi_q.n_reps
+    shifted = tuple(
+        tuple((r + n, s) for r, s in t) for t in ce2_q.oriented_triples
+    )
+    problem = CspProblem(
+        n + ce2_q.n_reps, icosi_q.oriented_triples + shifted, value_slots(4)
+    )
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("oracle still searching after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(5)
+    try:
+        assert csp_solve(problem) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_oracle_labelings_are_pinned(icosi_q, ce1_q, ce2_q):
+    """The oracle's deterministic search returns these labelings."""
+    pinned = [
+        (icosi_q, 4, "-4 -2 -2 -4 -3 -3 2 -1 1 -2 1 1 4 -1 -3"),
+        (ce1_q, 5, "-5 2 -2 -3 -1 -4 4 -3 1 -5 -1 1 2 1 -4 -3 3 2 -2 -1 1 2 -2 2 -2"),
+        (ce2_q, 5, "-5 -1 -2 1 -4 1 -1 -3 4 2 -3 -5 4 2 1 -1 -1 -3"),
+    ]
+    for q, k, values in pinned:
+        labeling = backtrack_search(FlowInstance(q, k))
+        assert labeling.values == tuple(int(v) for v in values.split())
+
+
 def test_min_flow_number_icosi(icosi_q):
-    assert min_flow_number(icosi_q, 5, engine="sat") == 4
-    assert min_flow_number(icosi_q, 5, engine="backtrack") == 4
+    assert min_flow_number(icosi_q, 5) == 4
     assert min_flow_number(icosi_q, 3) is None
+    # the oracle route alone gives the same minimum
+    labelable = [
+        backtrack_search(FlowInstance(icosi_q, k)) is not None for k in range(1, 6)
+    ]
+    assert labelable == [False, False, False, True, True]
 
 
 def test_min_mod_flow_number_icosi(icosi_q):
@@ -320,8 +361,6 @@ def test_min_mod_flow_number_icosi(icosi_q):
 def test_min_searches_validate_arguments(icosi_q):
     with pytest.raises(ValueError):
         min_flow_number(icosi_q, 0)
-    with pytest.raises(ValueError):
-        min_flow_number(icosi_q, 3, engine="quantum")
     with pytest.raises(ValueError):
         min_mod_flow_number(icosi_q, 1)
 

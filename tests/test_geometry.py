@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sphereflow.field import F1
 from sphereflow.geometry import (
+    EPSILON,
     PointSet,
     SpherePoint,
     dedup_points,
@@ -18,6 +19,7 @@ from sphereflow.geometry import (
     find_zero_sum_triples,
     find_zero_sum_triples_brute,
 )
+from sphereflow.quotient import antipode_map
 
 
 def _random_unit(rng: random.Random) -> tuple[float, float, float]:
@@ -82,10 +84,12 @@ def test_triple_search_matches_brute_force_float():
         assert fast == tuple(sorted(fast))
 
 
-def test_triple_search_exact_matches_brute(icosi):
-    assert set(find_zero_sum_triples(icosi)) == set(
-        find_zero_sum_triples_brute(icosi)
-    )
+def test_triple_search_exact_matches_brute(icosi, ce1, ce2):
+    """The grid search and the O(n^3) oracle agree on every bundled
+    exact configuration, found afresh on the bare points."""
+    for ps in (icosi, ce1, ce2.final):
+        bare = PointSet(ps.points)
+        assert find_zero_sum_triples(bare) == find_zero_sum_triples_brute(bare)
 
 
 def test_exact_dot_on_icosi_spectrum(icosi):
@@ -132,6 +136,41 @@ def test_dedup_points_exact_mode(icosi):
     doubled = icosi.points + icosi.points
     ps = dedup_points(doubled)
     assert ps.n_points == 30
+
+
+def test_dedup_points_exact_and_shadows_keep_the_same_points(icosi):
+    """Exact equality and the float tolerance merge the same points of a
+    list holding every vertex twice: as itself, then as the negation of
+    its antipodal vertex, whose shadow may differ in the last bits."""
+    exact = icosi.points + tuple(p.antipode() for p in icosi.points)
+    shadows = tuple(SpherePoint.from_floats(*p.floats) for p in exact)
+    kept_exact = dedup_points(exact).points
+    kept_float = dedup_points(shadows).points
+    assert len(kept_exact) == 30
+    assert [p.floats for p in kept_exact] == [p.floats for p in kept_float]
+
+
+def test_searches_reach_past_the_target_cell():
+    """Matches within EPSILON whose float shadows straddle a grid cell
+    boundary are found by all three searches."""
+    edge = math.floor(0.5 / EPSILON) * EPSILON  # a cell boundary
+    below, above = edge - 0.3 * EPSILON, edge + 0.3 * EPSILON
+    assert math.floor(below / EPSILON) != math.floor(above / EPSILON)
+    dup = (
+        SpherePoint.from_floats(below, 0.6, 0.8),
+        SpherePoint.from_floats(above, 0.6, 0.8),
+    )
+    assert dedup_points(dup).n_points == 1
+    pair = PointSet((dup[0], dup[1].antipode()))
+    assert antipode_map(pair) == {0: 1, 1: 0}
+    triple = PointSet(
+        (
+            SpherePoint.from_floats(above, 0.6, 0.8),
+            SpherePoint.from_floats(0.0, -0.6, -0.8),
+            SpherePoint.from_floats(-below, 0.0, 0.0),
+        )
+    )
+    assert find_zero_sum_triples(triple) == ((0, 1, 2),)
 
 
 def test_dedup_points_rejects_mixed_modes(icosi):
