@@ -7,7 +7,11 @@ successive sets of assumption literals, keeping what it learned, and
 explains each refuted set by the assumptions it used; ``sat_solve`` is
 the one-shot form.  Binary and ternary clauses,
 nearly all of a labeling encoding, are propagated from occurrence
-lists; longer clauses use two watched literals.  It is fully
+lists; longer clauses use two watched literals.  On load it drops every
+repeated binary and ternary clause, keeping the first occurrence: the
+published direct CNF keeps both mirror copies of each triple's
+clauses, so nearly half of it repeats (ce1 at k=4 has 10245 distinct
+clauses of 19765), and a repeat only costs visits.  It is fully
 deterministic: ties break on variable index and nothing is randomized.
 Models are re-verified against every clause before being returned.
 UNSAT answers carry no certificate; ``verify --engine both`` re-decides
@@ -36,6 +40,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ValueError(f"negative variable count {self.num_vars}")
         for clause in self.clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
@@ -54,6 +60,11 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """Read DIMACS CNF: comments, then one ``p cnf`` header, then clauses.
+
+    Raises ValueError on anything else, such as a clause before the
+    header, a second header or a negative count.
+    """
     num_vars: Optional[int] = None
     declared = 0
     clauses: list[tuple[int, ...]] = []
@@ -64,10 +75,16 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise ValueError(f"bad DIMACS header: {line!r}")
+            if num_vars is not None:
+                raise ValueError(f"second DIMACS header: {line!r}")
             num_vars, declared = int(parts[2]), int(parts[3])
+            if num_vars < 0 or declared < 0:
+                raise ValueError(f"negative count in DIMACS header: {line!r}")
             continue
+        if num_vars is None:
+            raise ValueError(f"clause before the DIMACS header: {line!r}")
         for tok in line.split():
             lit = int(tok)
             if lit == 0:
@@ -176,6 +193,24 @@ class Solver:
                 units.append(lits[0])
             else:
                 add_clause(lits)
+        # Drop repeated binary and ternary clauses, list by list: a later
+        # entry whose other literals match an earlier one is the same clause.
+        # The first occurrence keeps its place and pair order, so the lists
+        # are those of the formula without the repeats, and so is the search.
+        for slot, others in enumerate(bins):
+            if len(others) > 1:
+                bins[slot] = list(dict.fromkeys(others))
+        for slot, flat in enumerate(terns):
+            if len(flat) > 2:
+                seen: set[tuple[int, int]] = set()
+                unique: list[int] = []
+                pairs = iter(flat)
+                for a, b in zip(pairs, pairs):
+                    key = (a, b) if a < b else (b, a)
+                    if key not in seen:
+                        seen.add(key)
+                        unique += (a, b)
+                terns[slot] = unique
 
         val = [0] * size  # 1 true, -1 false, 0 unassigned; indexed by literal
         # neg[lit] is -lit as one shared int object, so the literals that

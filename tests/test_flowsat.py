@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import signal
 import time
@@ -329,6 +330,57 @@ def test_oracle_refutes_a_block_numbered_last(icosi_q, ce2_q):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _brute_force_csp(problem: CspProblem) -> bool:
+    values = sorted(set(problem.domain))
+    return any(
+        all(problem.sum_ok(t, assignment) for t in problem.triples)
+        for assignment in itertools.product(values, repeat=problem.n_vars)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    modular=st.booleans(),
+)
+def test_oracle_answer_ignores_repeated_and_flipped_triples(seed, modular):
+    """Repeats and sign flips of triples, members in any order, leave the
+    oracle's answer unchanged, and the answer agrees with enumerating
+    every assignment, for integer and modular problems."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    if modular:
+        m = rng.randint(2, 5)
+        residues = rng.sample(range(m), rng.randint(1, min(m, 4)))
+        domain = tuple(r + m * rng.randint(-1, 1) for r in residues)
+    else:
+        m = None
+        domain = tuple(rng.sample(range(-3, 4), rng.randint(1, 4)))
+    triples = tuple(
+        tuple((r, rng.choice((-1, 1))) for r in rng.sample(range(n), 3))
+        for _ in range(rng.randint(0, 6))
+    )
+    copies = tuple(
+        tuple((r, s * sign) for r, s in rng.sample(t, 3))
+        for t in triples
+        for sign in rng.sample((1, -1), rng.randint(0, 2))
+    )
+    problem = CspProblem(n, triples, domain, m)
+    answer = csp_solve(problem)
+    assert csp_solve(replace(problem, triples=triples + copies)) == answer
+    assert csp_solve(replace(problem, triples=copies + triples)) == answer
+    assert (answer is not None) == _brute_force_csp(problem)
+    if answer is not None:
+        assert all(v in domain for v in answer)
+
+
+def test_csp_problem_validation():
+    with pytest.raises(ValueError, match="distinct members"):
+        CspProblem(2, (((0, 1), (0, -1), (1, 1)),), (1, 2))
+    with pytest.raises(ValueError, match="differ mod"):
+        CspProblem(3, (), (1, 8), modulus=7)
 
 
 def test_oracle_labelings_are_pinned(icosi_q, ce1_q, ce2_q):

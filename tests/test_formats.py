@@ -303,18 +303,35 @@ def test_witness_loader_fuzz(text):
 DIMACS_TOKENS = st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-3", "x", "1.5", "-0"])
 
 
+DIMACS_LINES = st.lists(DIMACS_TOKENS | st.integers(-5, 5).map(str), max_size=5).map(" ".join)
+
+
+@st.composite
+def headed_dimacs_texts(draw) -> str:
+    """Clause lines under a header whose counts are often right, with an
+    odd line now and then."""
+    literal = st.integers(-3, 3).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, max_size=3), max_size=4))
+    n = max((abs(lit) for c in clauses for lit in c), default=0) + draw(st.integers(-1, 1))
+    m = len(clauses) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    lines = [f"p cnf {n} {m}"] + [" ".join(map(str, c + [0])) for c in clauses]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(DIMACS_LINES))
+    return "\n".join(lines)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(
-        st.lists(
-            st.lists(DIMACS_TOKENS | st.integers(-5, 5).map(str), max_size=5).map(" ".join),
-            max_size=6,
-        ).map("\n".join),
+        st.lists(DIMACS_LINES, max_size=6).map("\n".join),
+        headed_dimacs_texts(),
         st.text(max_size=40),
     )
 )
 def test_dimacs_parser_fuzz(text):
     try:
-        parse_dimacs(text)
+        formula = parse_dimacs(text)
     except ValueError:
-        pass
+        return
+    # whatever the parser accepts, it reads back from its own output
+    assert parse_dimacs(formula.to_dimacs()) == formula

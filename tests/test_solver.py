@@ -59,6 +59,8 @@ def test_formula_validates_literals():
         CnfFormula(num_vars=2, clauses=((0,),))
     with pytest.raises(ValueError):
         CnfFormula(num_vars=2, clauses=((3,),))
+    with pytest.raises(ValueError):
+        CnfFormula(num_vars=-1, clauses=())
 
 
 def test_solver_agrees_with_brute_force():
@@ -133,6 +135,12 @@ def test_dimacs_multiline_clause():
         "p cnf 2 2\n1 0\n",  # clause count mismatch
         "p cnf 2 1\n1 2\n",  # unterminated clause
         "p cnf 1 1\n2 0\n",  # literal out of range
+        "1 2 0\np cnf 2 1\n",  # clause before the header
+        "p cnf 2 1\np cnf 3 1\n1 0\n",  # second header
+        "p cnf 2 1\n1 0\np cnf 2 1\n",  # second header after the clauses
+        "p cnf -1 0\n",  # negative variable count
+        "p cnf 2 -1\n",  # negative clause count
+        "pcnf cnf 2 1\n1 0\n",  # header word other than p
     ],
 )
 def test_dimacs_rejects_malformed(text):
@@ -194,6 +202,35 @@ def test_assumptions_cores_and_successive_solves(seed, wide):
         else:
             assert set(res.core) <= set(assumptions)
             assert not brute_force_sat(_with_units(f, res.core))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_repeated_clauses_leave_every_answer_unchanged(seed):
+    """Repeats of binary and ternary clauses, literals permuted, placed
+    anywhere after their originals, give the same answers, models and
+    cores under every assumption set as the formula without them."""
+    rng = random.Random(seed)
+    # large enough that the search backtracks, so clause order matters
+    n = rng.randint(6, 14)
+    f = CnfFormula(n, tuple(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), width))
+        for width in rng.choices((1, 2, 3), (1, 4, 12), k=rng.randint(2 * n, 5 * n))
+    ))
+    m = len(f.clauses)
+    # (place, is copy, clause): a copy sorts after its original
+    entries = [(i, 0, c) for i, c in enumerate(f.clauses)]
+    for i, c in enumerate(f.clauses):
+        for _ in range(rng.choice((0, 0, 1, 2)) if len(c) > 1 else 0):
+            entries.append((rng.randint(i, m), 1, tuple(rng.sample(c, len(c)))))
+    g = CnfFormula(f.num_vars, tuple(c for *_, c in sorted(entries)))
+    plain, repeated = Solver(f), Solver(g)
+    for _ in range(5):
+        assumptions = tuple(
+            rng.choice((1, -1)) * rng.randint(1, f.num_vars)
+            for _ in range(rng.randint(0, n // 2))
+        )
+        assert repeated.solve(assumptions) == plain.solve(assumptions)
 
 
 def test_core_names_the_failed_assumptions():
