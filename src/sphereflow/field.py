@@ -1,15 +1,15 @@
-"""Exact arithmetic in real quartic number fields Q[t]/(m(t)).
+"""Exact arithmetic in real biquadratic number fields Q[t]/(t^4 + p t^2 + q).
 
-Elements are polynomials of degree < 4 in the field generator t with
-rational coefficients, reduced modulo a monic irreducible quartic m.
-Which real root of m the generator denotes is pinned by an isolating
-interval; signs and float embeddings are decided by refining that
-interval with exact rational bisection, so no comparison ever depends
-on floating-point luck.
+Each field is a tower of two quadratic steps, Q < Q(theta) < Q(t): theta
+is the larger root of theta^2 + p theta + q = 0 and t = sqrt(theta) > 0
+is the largest real root of the minimal polynomial.  An element
+c0 + c1 t + c2 t^2 + c3 t^3 is A + B t with A = c0 + c2 theta and
+B = c1 + c3 theta in Q(theta).  Signs compare squares one step at a
+time, inverses multiply by the conjugate A - B t, and float embeddings
+come from integer square roots at a precision chosen from the
+coefficients, so no comparison ever depends on floating-point luck.
 
-All values are immutable and operations are pure; sharing fields and
-elements across threads is safe (interval refinement is monotone and
-idempotent).
+Fields and elements never change once built.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -48,206 +48,172 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending coefficient lists)
-# ---------------------------------------------------------------------------
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _is_reducible_biquadratic(p: int, q: int) -> bool:
+    """Whether t^4 + p t^2 + q factors over Q (Kappe & Warren 1989).
 
-
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    return _poly_trim([c * i for i, c in enumerate(p)][1:])
-
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _poly_trim(a)
-    while len(r) >= len(b):
-        coef = r[-1] / b[-1]
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, c in enumerate(b):
-            r[deg + i] -= coef * c
-        _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def _poly_sub_scaled(a: list[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = list(a)
-    if len(out) < len(b):
-        out += [Fraction(0)] * (len(b) - len(out))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_poly_trim(list(p)), _poly_deriv(p)]
-    while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_variations(chain: Iterable[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_real_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, hi], via Sturm's theorem."""
-    chain = _sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def _is_irreducible_monic_quartic(coeffs: Sequence[Fraction]) -> bool:
-    """Irreducibility over Q of a monic integer quartic (ascending coeffs)."""
-    c0, c1, c2, c3 = (int(coeffs[i]) for i in range(4))
-    # linear factor: integer root dividing the constant term
-    if c0 == 0:
+    It splits as (t^2 + v)(t^2 + w) exactly when p^2 - 4q is a square,
+    and as (t^2 + u t + r)(t^2 - u t + r) exactly when q = r^2 and
+    2r - p = u^2 for one sign of r.
+    """
+    if _is_square(p * p - 4 * q):
+        return True
+    if not _is_square(q):
         return False
-    bound = abs(c0)
-    for r in range(1, bound + 1):
-        if c0 % r == 0:
-            for root in (r, -r):
-                if root**4 + c3 * root**3 + c2 * root**2 + c1 * root + c0 == 0:
-                    return False
-    # split into two monic integer quadratics (x^2+ux+v)(x^2+wx+z)
-    divisors = [d for d in range(1, abs(c0) + 1) if c0 % d == 0]
-    pairs = [(v, c0 // v) for v in divisors] + [(-v, -(c0 // v)) for v in divisors]
-    for v, z in pairs:
-        # u + w = c3, u*w = c2 - v - z, u*z + v*w = c1
-        s, prod = c3, c2 - v - z
-        disc = s * s - 4 * prod
-        if disc < 0:
-            continue
-        rd = math.isqrt(disc)
-        if rd * rd != disc or (s + rd) % 2 != 0:
-            continue
-        for u in {(s + rd) // 2, (s - rd) // 2}:
-            w = s - u
-            if u * z + v * w == c1:
-                return False
-    return True
+    r = math.isqrt(q)
+    return _is_square(2 * r - p) or _is_square(-2 * r - p)
+
+
+def _sgn(x: RationalLike) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _radical_sign(sx: int, sy: int, gap: Callable[[], int]) -> int:
+    """Sign of x + y*r for an irrational r > 0 over the field of x and y.
+
+    sx and sy are the signs of x and y; gap() is the sign of
+    x^2 - y^2 r^2, asked for only when sx and sy disagree.
+    """
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if gap() > 0 else sy
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic for the real embedding
+# the quadratic subfield Q(theta), theta^2 + p theta + q = 0
 # ---------------------------------------------------------------------------
 
+_LPair = tuple[RationalLike, RationalLike]  # u0 + u1*theta
 
-def _monomial_bounds(lo: Fraction, hi: Fraction, j: int) -> tuple[Fraction, Fraction]:
-    if j == 0:
-        return Fraction(1), Fraction(1)
-    cands = [lo**j, hi**j]
-    if lo < 0 < hi and j % 2 == 0:
-        cands.append(Fraction(0))
-    return min(cands), max(cands)
+_THETA: _LPair = (0, 1)
 
 
-def _interval_eval(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    acc_lo = acc_hi = Fraction(0)
-    for j, c in enumerate(coeffs):
-        if c == 0:
+def _l_mul(x: _LPair, y: _LPair, p: int, q: int) -> _LPair:
+    return (
+        x[0] * y[0] - q * x[1] * y[1],
+        x[0] * y[1] + x[1] * y[0] - p * x[1] * y[1],
+    )
+
+
+def _l_div(x: _LPair, y: _LPair, p: int, q: int) -> _LPair:
+    conj = (y[0] - p * y[1], -y[1])
+    norm = _l_mul(y, conj, p, q)
+    assert norm[1] == 0
+    if norm[0] == 0:
+        raise ZeroDivisionError("division by zero in quadratic subfield")
+    num = _l_mul(x, conj, p, q)
+    return (num[0] / norm[0], num[1] / norm[0])
+
+
+def _l_sign(u: _LPair, p: int, disc: int) -> int:
+    """Sign of u0 + u1*theta = (2 u0 - p u1 + u1 sqrt(disc)) / 2."""
+    x, y = 2 * u[0] - p * u[1], u[1]
+    return _radical_sign(_sgn(x), _sgn(y), lambda: _sgn(x * x - y * y * disc))
+
+
+def _tower_norm(a: _LPair, b: _LPair, p: int, q: int) -> _LPair:
+    """A^2 - B^2 theta, the norm of A + B t down to Q(theta)."""
+    a2 = _l_mul(a, a, p, q)
+    b2 = _l_mul(_l_mul(b, b, p, q), _THETA, p, q)
+    return (a2[0] - b2[0], a2[1] - b2[1])
+
+
+def _tower(c: Sequence[RationalLike]) -> tuple[_LPair, _LPair]:
+    """(A, B) with sum c_i t^i = A + B t, both in Q(theta)."""
+    return (c[0], c[2]), (c[1], c[3])
+
+
+def _l_sqrt(g: _LPair, p: int, q: int) -> Optional[_LPair]:
+    """A square root of g in Q(theta), or None."""
+    disc = p * p - 4 * q  # theta = (-p + sqrt(disc))/2, sqrt(disc) = 2*theta + p
+    a = g[0] - g[1] * p / 2
+    b = g[1] / 2  # g = a + b*sqrt(disc)
+    if b == 0:
+        r = rational_sqrt(a)
+        if r is not None:
+            return (r, Fraction(0))
+        r = rational_sqrt(a / disc)
+        if r is not None:
+            # r*sqrt(disc) = r*p + 2r*theta
+            return (r * p, 2 * r)
+        return None
+    n = a * a - b * b * disc
+    s = rational_sqrt(n)
+    if s is None:
+        return None
+    for ss in (s, -s):
+        alpha2 = (a + ss) / 2
+        if alpha2 < 0:
             continue
-        blo, bhi = _monomial_bounds(lo, hi, j)
-        if c > 0:
-            acc_lo += c * blo
-            acc_hi += c * bhi
-        else:
-            acc_lo += c * bhi
-            acc_hi += c * blo
-    return acc_lo, acc_hi
+        alpha = rational_sqrt(alpha2)
+        if alpha is None or alpha == 0:
+            continue
+        beta = b / (2 * alpha)
+        if alpha * alpha + beta * beta * disc == a and 2 * alpha * beta == b:
+            return (alpha + beta * p, 2 * beta)
+    return None
 
 
-_MAX_REFINE_STEPS = 20000
+# ---------------------------------------------------------------------------
+# fields and elements
+# ---------------------------------------------------------------------------
 
 
 class QuarticField:
-    """A real quartic number field Q[t]/(m(t)) with a designated real root.
+    """A real field Q[t]/(t^4 + p t^2 + q), t its largest real root.
 
-    minimal_polynomial: 5 ascending integer coefficients, monic, irreducible.
-    root_interval: rational (lo, hi) isolating exactly one real root of m.
-    Construct each field once and share it; two fields compare equal only
-    when both the polynomial and the original isolating interval agree.
+    minimal_polynomial: 5 ascending integer coefficients (q, 0, p, 0, 1),
+    irreducible over Q and with a real root.  Construct each field once
+    and share it; two fields compare equal when their polynomials do.
     """
 
     def __init__(
-        self,
-        minimal_polynomial: Sequence[RationalLike],
-        root_interval: tuple[RationalLike, RationalLike],
-        tag: Optional[str] = None,
+        self, minimal_polynomial: Sequence[RationalLike], *, tag: Optional[str] = None
     ):
         coeffs = tuple(_frac(c) for c in minimal_polynomial)
         if len(coeffs) != 5 or coeffs[4] != 1:
             raise ValueError("minimal polynomial must be monic of degree 4")
         if any(c.denominator != 1 for c in coeffs):
             raise ValueError("minimal polynomial must have integer coefficients")
-        if not _is_irreducible_monic_quartic(coeffs[:4]):
+        if coeffs[1] != 0 or coeffs[3] != 0:
+            raise ValueError("minimal polynomial must be biquadratic t^4 + p t^2 + q")
+        p, q = coeffs[2].numerator, coeffs[0].numerator
+        if _is_reducible_biquadratic(p, q):
             raise ValueError("minimal polynomial is reducible over Q")
-        lo, hi = _frac(root_interval[0]), _frac(root_interval[1])
-        if not lo < hi:
-            raise ValueError("root interval must satisfy lo < hi")
-        poly = list(coeffs)
-        if _poly_eval(poly, lo) == 0 or _poly_eval(poly, hi) == 0:
-            raise ValueError("interval endpoints must not be roots")
-        if _count_real_roots(poly, lo, hi) != 1:
-            raise ValueError("root interval must isolate exactly one real root")
+        # irreducible, so disc is not a square; for disc > 0 the larger
+        # theta = (-p + sqrt(disc))/2 is real, and positive (t real)
+        # unless p >= 0 and q > 0
+        disc = p * p - 4 * q
+        if disc < 0 or (p >= 0 and q > 0):
+            raise ValueError("minimal polynomial has no real root")
         self.minimal_polynomial = coeffs
-        self.root_interval = (lo, hi)
         self.tag = tag
-        self._lo, self._hi = lo, hi
-        self._sign_lo = 1 if _poly_eval(poly, lo) > 0 else -1
+        self._p, self._q, self._disc = p, q, disc
+        # each of _scaled_powers' roundings stays below 2 (t + theta + 1)
+        # <= 3 (theta + 1), and theta <= |p| + sqrt|q| <= |p| + |q|
+        self._slack_bits = (3 * (abs(p) + abs(q) + 1)).bit_length()
         # reduction rows for t^4, t^5, t^6 as degree-<4 coefficient tuples
-        t4 = tuple(-coeffs[i] for i in range(4))
-        t5 = self._shift_reduce(t4)
-        t6 = self._shift_reduce(t5)
-        self._red = (t4, t5, t6)
-
-    def _shift_reduce(self, row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        # multiply a degree-<4 representative by t and reduce again
-        carry = row[3]
-        shifted = (Fraction(0), row[0], row[1], row[2])
-        t4 = tuple(-self.minimal_polynomial[i] for i in range(4))
-        return tuple(shifted[i] + carry * t4[i] for i in range(4))
+        fp, fq, zero = coeffs[2], coeffs[0], Fraction(0)
+        self._red = (
+            (-fq, zero, -fp, zero),
+            (zero, -fq, zero, -fp),
+            (fp * fq, zero, fp * fp - fq, zero),
+        )
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuarticField):
             return NotImplemented
-        return (
-            self.minimal_polynomial == other.minimal_polynomial
-            and self.root_interval == other.root_interval
-        )
+        return self.minimal_polynomial == other.minimal_polynomial
 
     def __hash__(self) -> int:
-        return hash((self.minimal_polynomial, self.root_interval))
+        return hash(self.minimal_polynomial)
 
     def __repr__(self) -> str:
         if self.tag:
@@ -278,18 +244,15 @@ class QuarticField:
     def t(self) -> "FieldElement":
         return self.element(0, 1)
 
-    # -- designated-root refinement ------------------------------------------
+    # -- real embedding ------------------------------------------------------
 
-    def _refine_once(self) -> None:
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
-        val = _poly_eval(self.minimal_polynomial, mid)
-        if val == 0:
-            raise RuntimeError("rational root of an irreducible quartic")
-        if (1 if val > 0 else -1) == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
+    def _scaled_powers(self, n: int) -> tuple[int, int, int, int]:
+        """t^i * 2**n for i = 0..3, each within 2**_slack_bits."""
+        # floor(theta * 4**n) to within 3/2
+        big = (math.isqrt(self._disc << (4 * n)) - (self._p << (2 * n))) >> 1
+        t1 = math.isqrt(big)
+        t2 = big >> n
+        return (1 << n, t1, t2, (t1 * t2) >> n)
 
 
 @dataclass(frozen=True)
@@ -315,6 +278,11 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
+
+    def _integral(self) -> tuple[int, list[int]]:
+        """(d, k) with d > 0 and self = sum k_i t^i / d, all integers."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     @property
     def is_zero(self) -> bool:
@@ -370,34 +338,16 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """1/(A + B t) = (A - B t) / (A^2 - B^2 theta)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        m = list(self.field.minimal_polynomial)
-        r0, r1 = m, _poly_trim(list(self.coeffs))
-        # track u so that u * self == r (mod m)
-        u0: list[Fraction] = []
-        u1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            # u_next = u0 - q*u1
-            qu = [Fraction(0)] * (len(q) + len(u1))
-            for i, qc in enumerate(q):
-                if qc == 0:
-                    continue
-                for j, uc in enumerate(u1):
-                    qu[i + j] += qc * uc
-            u_next = _poly_sub_scaled(u0, qu)
-            r0, r1, u0, u1 = r1, rem, u1, u_next
-        if not r1:
-            raise ArithmeticError("element shares a factor with the minimal polynomial")
-        const = r1[0]
-        inv = [c / const for c in u1]
-        inv += [Fraction(0)] * (4 - len(inv))
-        # reduce in case deg(u) crept above 3 (it cannot for deg<4 inputs, but be safe)
-        result = self.field.element(*inv[:4])
-        check = result * self
-        assert check == self.field.one, "inverse self-check failed"
+        fld = self.field
+        p, q = fld._p, fld._q
+        a, b = _tower(self.coeffs)
+        inv_norm = _l_div((Fraction(1), Fraction(0)), _tower_norm(a, b, p, q), p, q)
+        ia, ib = _l_mul(a, inv_norm, p, q), _l_mul(b, inv_norm, p, q)
+        result = fld.element(ia[0], -ib[0], ia[1], -ib[1])
+        assert result * self == fld.one, "inverse self-check failed"
         return result
 
     def __truediv__(self, other: object) -> "FieldElement":
@@ -426,39 +376,31 @@ class FieldElement:
 
     # -- real embedding ----------------------------------------------------------
 
-    def _interval(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = self.field._lo, self.field._hi
-        elo, ehi = _interval_eval(self.coeffs, lo, hi)
-        steps = 0
-        while ehi - elo > max_width:
-            self.field._refine_once()
-            lo, hi = self.field._lo, self.field._hi
-            elo, ehi = _interval_eval(self.coeffs, lo, hi)
-            steps += 1
-            if steps > _MAX_REFINE_STEPS:
-                raise RuntimeError("interval evaluation failed to converge")
-        return elo, ehi
-
     def sign(self) -> int:
         """-1, 0, or +1 for the real embedding; exact, never float-based."""
-        if self.is_zero:
-            return 0
-        elo, ehi = _interval_eval(self.coeffs, self.field._lo, self.field._hi)
-        steps = 0
-        while elo <= 0 <= ehi:
-            self.field._refine_once()
-            elo, ehi = _interval_eval(
-                self.coeffs, self.field._lo, self.field._hi
-            )
-            steps += 1
-            if steps > _MAX_REFINE_STEPS:
-                raise RuntimeError("sign refinement failed to converge")
-        return 1 if elo > 0 else -1
+        fld = self.field
+        p, q, disc = fld._p, fld._q, fld._disc
+        a, b = _tower(self._integral()[1])  # d * self, in integers
+        return _radical_sign(
+            _l_sign(a, p, disc),
+            _l_sign(b, p, disc),
+            lambda: _l_sign(_tower_norm(a, b, p, q), p, disc),
+        )
 
     def to_float(self) -> float:
         """Real embedding within 2**-64 (plus one double rounding)."""
-        elo, ehi = self._interval(Fraction(1, 2**64))
-        return float((elo + ehi) / 2)
+        cs = self.coeffs
+        if self.is_zero:
+            return 0.0
+        # |c_i| < 2**bits and each scaled power is off by < 2**_slack_bits,
+        # so the sum is off by < 2**(bits + 2 + _slack_bits - n) <= 2**-64
+        bits = max(
+            c.numerator.bit_length() - c.denominator.bit_length() + 1 for c in cs if c
+        )
+        n = 66 + max(bits, 0) + self.field._slack_bits
+        den, k = self._integral()
+        total = sum(ki * tp for ki, tp in zip(k, self.field._scaled_powers(n)))
+        return total / (den << n)
 
     def __abs__(self) -> "FieldElement":
         return -self if self.sign() < 0 else self
@@ -469,81 +411,23 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# square roots in biquadratic quartic fields
+# square roots
 # ---------------------------------------------------------------------------
-
-_LPair = tuple[Fraction, Fraction]  # u0 + u1*theta, theta = t^2
-
-
-def _l_mul(x: _LPair, y: _LPair, p: Fraction, q: Fraction) -> _LPair:
-    return (
-        x[0] * y[0] - q * x[1] * y[1],
-        x[0] * y[1] + x[1] * y[0] - p * x[1] * y[1],
-    )
-
-
-def _l_div(x: _LPair, y: _LPair, p: Fraction, q: Fraction) -> _LPair:
-    conj = (y[0] - p * y[1], -y[1])
-    norm = _l_mul(y, conj, p, q)
-    assert norm[1] == 0
-    if norm[0] == 0:
-        raise ZeroDivisionError("division by zero in quadratic subfield")
-    num = _l_mul(x, conj, p, q)
-    return (num[0] / norm[0], num[1] / norm[0])
-
-
-def _l_sqrt(g: _LPair, p: Fraction, q: Fraction) -> Optional[_LPair]:
-    """A square root of g in Q(theta) with theta^2 + p*theta + q = 0, or None."""
-    disc = p * p - 4 * q  # theta = (-p + sqrt(disc))/2, sqrt(disc) = 2*theta + p
-    a = g[0] - g[1] * p / 2
-    b = g[1] / 2  # g = a + b*sqrt(disc)
-    if b == 0:
-        r = rational_sqrt(a)
-        if r is not None:
-            return (r, Fraction(0))
-        if disc != 0:
-            r = rational_sqrt(a / disc)
-            if r is not None:
-                # r*sqrt(disc) = r*p + 2r*theta
-                return (r * p, 2 * r)
-        return None
-    n = a * a - b * b * disc
-    s = rational_sqrt(n)
-    if s is None:
-        return None
-    for ss in (s, -s):
-        alpha2 = (a + ss) / 2
-        if alpha2 < 0:
-            continue
-        alpha = rational_sqrt(alpha2)
-        if alpha is None or alpha == 0:
-            continue
-        beta = b / (2 * alpha)
-        if alpha * alpha + beta * beta * disc == a and 2 * alpha * beta == b:
-            return (alpha + beta * p, 2 * beta)
-    return None
 
 
 def field_sqrt(a: FieldElement) -> Optional[FieldElement]:
     """The non-negative square root of a in its own field, or None.
 
-    Complete for biquadratic minimal polynomials: if a root exists in the
-    field, it is found; None is a proof of non-membership, not a give-up.
+    Complete: if a root exists in the field, it is found; None is a proof
+    of non-membership, not a give-up.
     """
     fld = a.field
-    m = fld.minimal_polynomial
-    if m[1] != 0 or m[3] != 0:
-        raise NotImplementedError(
-            "square roots are implemented for biquadratic minimal polynomials only"
-        )
     if a.is_zero:
         return fld.zero
     if a.sign() < 0:
         return None
-    p, q = m[2], m[0]
-    theta: _LPair = (Fraction(0), Fraction(1))
-    big_a: _LPair = (a.coeffs[0], a.coeffs[2])
-    big_b: _LPair = (a.coeffs[1], a.coeffs[3])
+    p, q = fld._p, fld._q
+    big_a, big_b = _tower(a.coeffs)
 
     def as_element(x: _LPair, y: _LPair) -> FieldElement:
         return fld.element(x[0], y[0], x[1], y[1])
@@ -553,18 +437,11 @@ def field_sqrt(a: FieldElement) -> Optional[FieldElement]:
         h = _l_sqrt(big_a, p, q)
         if h is not None:
             candidates.append(as_element(h, (Fraction(0), Fraction(0))))
-        h = _l_sqrt(_l_div(big_a, theta, p, q), p, q)
+        h = _l_sqrt(_l_div(big_a, _THETA, p, q), p, q)
         if h is not None:
             candidates.append(as_element((Fraction(0), Fraction(0)), h))
     else:
-        disc = tuple(
-            x - y
-            for x, y in zip(
-                _l_mul(big_a, big_a, p, q),
-                _l_mul(_l_mul(big_b, big_b, p, q), theta, p, q),
-            )
-        )
-        r = _l_sqrt(disc, p, q)  # type: ignore[arg-type]
+        r = _l_sqrt(_tower_norm(big_a, big_b, p, q), p, q)
         if r is not None:
             for rr in (r, (-r[0], -r[1])):
                 half = ((big_a[0] + rr[0]) / 2, (big_a[1] + rr[1]) / 2)
@@ -613,12 +490,12 @@ def parse_element(text: str, field: QuarticField) -> FieldElement:
 # built-in fields
 # ---------------------------------------------------------------------------
 
-# Q(5^(1/4)): t^4 = 5, designated root 1.4953...; contains sqrt(5) = t^2
-# and the golden ratio (1 + t^2)/2.
-F1 = QuarticField((-5, 0, 0, 0, 1), (1, 2), tag="F1")
+# Q(5^(1/4)): t^4 = 5, t = 1.4953...; contains sqrt(5) = t^2 and the
+# golden ratio (1 + t^2)/2.
+F1 = QuarticField((-5, 0, 0, 0, 1), tag="F1")
 
-# Q(sqrt(sqrt(3)-1)): t^4 + 2 t^2 - 2 = 0, designated root 0.8556...;
-# contains sqrt(3) = t^2 + 1.  Reduction rule: t^4 = 2 - 2 t^2.
-F2 = QuarticField((-2, 0, 2, 0, 1), (Fraction(1, 2), 1), tag="F2")
+# Q(sqrt(sqrt(3)-1)): t^4 + 2 t^2 - 2 = 0, t = 0.8556...; contains
+# sqrt(3) = t^2 + 1.  Reduction rule: t^4 = 2 - 2 t^2.
+F2 = QuarticField((-2, 0, 2, 0, 1), tag="F2")
 
 FIELD_BY_TAG = {"F1": F1, "F2": F2}

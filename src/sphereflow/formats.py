@@ -82,6 +82,8 @@ class PointSetDocument:
             raise DocumentError("field_tag must be a string")
         if not isinstance(doc.provenance, Mapping):
             raise DocumentError("provenance must be a JSON object")
+        if not isinstance(doc.provenance.get("construction", ""), str):
+            raise DocumentError("provenance construction must be a string")
         return doc
 
 
@@ -100,6 +102,8 @@ def _json_object(text: str, what: str) -> Mapping:
 
 def _radius(value: Any) -> Fraction:
     """A positive radius whose float is finite and nonzero."""
+    if isinstance(value, bool):
+        raise DocumentError(f"malformed radius {value!r}")
     try:
         radius = parse_rational(value) if isinstance(value, str) else Fraction(value)
         scale = float(radius)

@@ -153,9 +153,11 @@ def _shadow_grid(points: Sequence[SpherePoint]) -> Callable[[FloatCoords], list[
     Returns ``near(target)``: the indices in the 27 cells around the
     target's cell, which include every point within EPSILON of the
     target in each coordinate.  An exact point's shadow comes from
-    to_float within 2**-64, so every exact zero sum, negation or
-    equality has its shadow a few roundings from its target, far inside
-    one cell; confirming the candidates exactly misses none of them.
+    to_float, which picks its working precision from the coefficient
+    sizes and so stays within 2**-64 of every coordinate plus one
+    rounding; every exact zero sum, negation or equality has its shadow
+    a few roundings from its target, far inside one cell, and confirming
+    the candidates exactly misses none of them.
     """
     cells: dict[tuple[int, int, int], list[int]] = {}
     for i, p in enumerate(points):

@@ -302,6 +302,11 @@ def _assert_one_line_error(code, capsys):
             **doc,
             "triples": [[True if i == 1 else i for i in t] for t in doc["triples"]],
         },
+        lambda doc: {**doc, "radius": True},
+        lambda doc: {
+            **doc,
+            "provenance": {**doc["provenance"], "construction": [1, 2]},
+        },
     ],
     ids=[
         "list",
@@ -320,6 +325,8 @@ def _assert_one_line_error(code, capsys):
         "off-sphere-float-point",
         "bool-schema-version",
         "bool-triple-member",
+        "bool-radius",
+        "construction-not-string",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

@@ -46,6 +46,25 @@ def bisect_root(poly, lo, hi, steps=220):
 T1_ORACLE = bisect_root([-5, 0, 0, 0, 1], 1, 2)  # 5**(1/4)
 T2_ORACLE = bisect_root([-2, 0, 2, 0, 1], Fraction(1, 2), 1)  # sqrt(sqrt(3)-1)
 
+ORACLE_BRACKETS = {
+    "F1": ([-5, 0, 0, 0, 1], 1, 2),
+    "F2": ([-2, 0, 2, 0, 1], Fraction(1, 2), 1),
+}
+
+
+def oracle_embedding(a):
+    """sum c_i T**i within 2**-74 of a's embedding, T from bisect_root.
+
+    With |c_i| < 2**bits, |T - t| <= 2**-steps and t < 2, the error is at
+    most sum |c_i| * i * 2**(i-1) * 2**-steps < 2**(bits + 6 - steps).
+    """
+    poly, lo, hi = ORACLE_BRACKETS[a.field.tag]
+    bits = max(
+        c.numerator.bit_length() - c.denominator.bit_length() + 1 for c in a.coeffs
+    )
+    root = bisect_root(poly, lo, hi, steps=max(bits, 0) + 80)
+    return sum(c * root**i for i, c in enumerate(a.coeffs))
+
 
 small_rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50
@@ -120,14 +139,36 @@ def test_sign_exactness():
 
 
 def test_field_construction_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        QuarticField((-4, 0, 0, 0, 1), (1, 2))  # t^4-4 reducible
-    with pytest.raises(ValueError):
-        QuarticField((-5, 0, 0, 0, 1), (-2, 2))  # two roots inside
-    with pytest.raises(ValueError):
-        QuarticField((-5, 0, 0, 0, 1), (2, 3))  # no root inside
-    with pytest.raises(ValueError):
-        QuarticField((Fraction(1, 2), 0, 0, 0, 1), (0, 1))  # non-integer
+    for poly, reason in [
+        ((-4, 0, 0, 0, 1), "reducible"),  # (t^2 - 2)(t^2 + 2)
+        ((4, 0, 0, 0, 1), "reducible"),  # (t^2 + 2t + 2)(t^2 - 2t + 2)
+        ((1, 0, -6, 0, 1), "reducible"),  # (t^2 + 2t - 1)(t^2 - 2t - 1)
+        ((2, 0, 2, 0, 1), "no real root"),
+        ((1, 1, 0, 0, 1), "biquadratic"),  # irreducible t^4 + t + 1
+        ((Fraction(1, 2), 0, 0, 0, 1), "integer"),
+        ((-5, 0, 0, 0, 2), "monic"),
+        ((-5, 0, 1), "degree 4"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            QuarticField(poly)
+
+
+def test_field_identity_and_designated_root():
+    assert QuarticField((-5, 0, 0, 0, 1)) == F1
+    assert hash(QuarticField((-5, 0, 0, 0, 1))) == hash(F1)
+    # t^4 - 10 t^2 + 1 has the real roots +-sqrt2 +- sqrt3; t is the largest
+    fld = QuarticField((1, 0, -10, 0, 1))
+    assert abs(fld.t.to_float() - (2**0.5 + 3**0.5)) < 1e-15
+    assert (fld.t - Fraction(3146, 1000)).sign() == 1
+    assert (fld.t - Fraction(3147, 1000)).sign() == -1
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_to_float_of_tiny_elements_with_huge_coefficients(n):
+    phi = (F1.one + F1.t**2) / 2
+    two_minus_sqrt3 = 1 - F2.t**2  # 2 - sqrt3
+    for a in ((phi**n).inverse(), two_minus_sqrt3**n):
+        assert abs(Fraction(a.to_float()) - oracle_embedding(a)) < Fraction(1, 2**64)
 
 
 # -- field axioms (property-based) ------------------------------------------
@@ -156,6 +197,19 @@ def test_multiplicative_inverse(a):
 @given(f1_elements(), f1_elements())
 def test_sign_multiplicative(a, b):
     assert (a * b).sign() == a.sign() * b.sign()
+
+
+@given(st.one_of(f1_elements(), f2_elements()))
+def test_sign_against_bisection_oracle(a):
+    # a minus a rational near it leaves a tiny value whose A and B parts
+    # have opposite signs, which the comparison of squares must decide
+    for b in (a, a - Fraction(a.to_float())):
+        if b.is_zero:
+            assert b.sign() == 0
+            continue
+        v = oracle_embedding(b)
+        assert abs(v) > Fraction(1, 2**74)
+        assert b.sign() == (1 if v > 0 else -1)
 
 
 @given(f1_elements(), f1_elements())

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphereflow.constructions import SURVEY_PARAMETERS
 from sphereflow.field import F1
 from sphereflow.formats import (
     DocumentError,
@@ -113,6 +115,22 @@ def test_unknown_field_tag_rejected(icosi):
         pointset_from_document(bad)
 
 
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+
+
+@pytest.mark.parametrize("name", ["icosi", "ce1", "ce2"])
+def test_constructed_documents_match_bundled_bytes(name, request):
+    # the arguments `sphereflow construct NAME` passes at the default radius
+    if name == "ce2":
+        ps, parameters = request.getfixturevalue("ce2").final, SURVEY_PARAMETERS
+    else:
+        ps, parameters = request.getfixturevalue(name), {}
+    doc = document_from_pointset(
+        ps, construction=name, parameters=parameters, radius=Fraction(1)
+    )
+    assert doc.to_json() == (BENCH_DATA / f"{name}.json").read_text(encoding="ascii")
+
+
 def test_document_json_error_paths(icosi):
     with pytest.raises(DocumentError, match="not valid JSON"):
         PointSetDocument.from_json("{nope")
@@ -124,6 +142,14 @@ def test_document_json_error_paths(icosi):
     payload = json.loads(doc.to_json())
     del payload["field_tag"]
     with pytest.raises(DocumentError, match="missing document key"):
+        PointSetDocument.from_json(json.dumps(payload))
+    payload = json.loads(doc.to_json())
+    payload["radius"] = True  # Fraction(True) would be 1
+    with pytest.raises(DocumentError, match="malformed radius"):
+        PointSetDocument.from_json(json.dumps(payload))
+    payload = json.loads(doc.to_json())
+    payload["provenance"]["construction"] = [1, 2]
+    with pytest.raises(DocumentError, match="construction must be a string"):
         PointSetDocument.from_json(json.dumps(payload))
 
 
