@@ -9,9 +9,9 @@ on the first mismatch.
 Usage (from the repository root):
     PYTHONPATH=src python3 scripts/reproduce_all.py
 
-On a 2-vCPU machine under CPython 3.11 the run takes 15-22 s, of which
-the 50-point expansion's prune takes about 3.5 s and the second
-construction's search-and-prune about 3 s.
+On a 2-vCPU machine under CPython 3.11 the run takes 11-13 s, of which
+the 50-point expansion's prune takes about 2-3 s and the second
+construction's search-and-prune about 2 s.
 """
 
 from __future__ import annotations

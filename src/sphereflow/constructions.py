@@ -31,9 +31,9 @@ from .geometry import (
     find_zero_sum_triples,
     small_circle_intersection,
 )
-from .flows import FlowInstance, decide_labeling, encode_support
+from .flows import FlowInstance, class_refuter, decide_labeling
 from .quotient import antipode_map, components, quotient_antipodal
-from .solver import Solver, sat_solve as sat_solve_cdcl
+from .solver import sat_solve as sat_solve_cdcl
 
 
 class ConstructionError(RuntimeError):
@@ -371,23 +371,22 @@ def prune_low_degree(ps: PointSet) -> tuple[PointSet, PruneReport]:
     return kept, report
 
 
-def connected_components(ps: PointSet) -> list[PointSet]:
-    """Components under the relation "shares a triple", largest first."""
+def largest_connected_component(ps: PointSet) -> PointSet:
+    """The largest component under the relation "shares a triple".
+
+    Of equally large components, the one holding the smallest point
+    index wins: ``components`` orders them by smallest member, and
+    ``max`` keeps the first maximum.
+    """
     adj: list[set[int]] = [set() for _ in range(ps.n_points)]
     for a, b, c in ps.triples:
         adj[a] |= {b, c}
         adj[b] |= {a, c}
         adj[c] |= {a, b}
     comps = components(range(ps.n_points), adj)
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return [_select_points(ps, c) for c in comps]
-
-
-def largest_connected_component(ps: PointSet) -> PointSet:
-    comps = connected_components(ps)
     if not comps:
         raise ValueError("empty point set has no components")
-    return comps[0]
+    return _select_points(ps, max(comps, key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +397,8 @@ def largest_connected_component(ps: PointSet) -> PointSet:
 def _labeling_exists(ps: PointSet, k: int) -> bool:
     """Decide whether a nowhere-zero k-bounded labeling exists.
 
-    Decided from scratch by ``decide_labeling`` on the quotient, one
-    block at a time, with the conflict-learning solver.
+    Decided from scratch by ``decide_labeling``: one solve of the
+    quotient's support CNF by the conflict-learning solver.
     """
     if not ps.triples:
         return True
@@ -418,14 +417,13 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
     minimal because constraint removal can only enlarge the solution
     set, so a rejected removal stays rejected.
 
-    Every step is decided on one incremental solver over the input's
-    guarded support CNF, one selector per class of mirror triples: a
-    step assumes the selectors of the classes that keep a live triple
-    and the negations of the others.  A refuted step's failed
-    assumptions name a set of classes that admits no labeling on its
-    own; it replaces the cached core, and a step that keeps a live
-    triple in every core class is committed without a search
-    (clause-set refinement, as in MUSer2, Belov & Marques-Silva 2012).
+    Every step is decided by one ``flows.class_refuter`` over the
+    input's quotient, on the classes of mirror triples that keep a live
+    triple.  A refuted step's core is a set of classes that admits no
+    labeling on its own; it replaces the cached core, and a step that
+    keeps a live triple in every core class is committed without a
+    search (clause-set refinement, as in MUSer2, Belov & Marques-Silva
+    2012).
 
     A trailing pass keeps the first surviving triple of each mirror
     class: a triple and its mirror impose the same quotient constraint,
@@ -435,30 +433,13 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
     refuted once more from scratch by ``_labeling_exists``.
     """
     q = quotient_antipodal(ps)
-    n_classes = q.n_classes
     class_of = {
         ps.triples[tid]: cid
         for cid, tids in enumerate(q.triple_classes)
         for tid in tids
     }
-    formula = encode_support(
-        q.n_reps,
-        [q.oriented_triples[tids[0]] for tids in q.triple_classes],
-        k,
-        guarded=True,
-    )
-    first = q.n_reps * 2 * k + 1  # selector of class 0
-    solver = Solver(formula)
-
-    def refuted(triples: Iterable[Triple]) -> Optional[set[int]]:
-        """Core classes when the triples admit no labeling, else None."""
-        live = {class_of[t] for t in triples}
-        result = solver.solve(
-            [first + c if c in live else -(first + c) for c in range(n_classes)]
-        )
-        return None if result.satisfiable else {lit - first for lit in result.core}
-
-    core = refuted(ps.triples)
+    refuted = class_refuter(q, k)
+    core = refuted(set(range(q.n_classes)))
     if core is None:
         raise ValueError(
             f"input admits a labeling at k={k}; nothing to preserve"
@@ -475,8 +456,9 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
         trial_points, trial_triples, trial_rounds = _degree_prune(
             alive_points, [t for t in alive_triples if t != candidate], anti
         )
-        if not core <= {class_of[t] for t in trial_triples}:
-            trial_core = refuted(trial_triples)
+        live = {class_of[t] for t in trial_triples}
+        if not core <= live:
+            trial_core = refuted(live)
             if trial_core is None:
                 continue
             core = trial_core
@@ -487,7 +469,7 @@ def unsat_preserving_prune(ps: PointSet, k: int) -> tuple[PointSet, PruneReport]
 
     # Free the solver and its learned clauses before the fresh refutation
     # below builds another, so the two do not add up in peak memory.
-    del refuted, solver, formula
+    del refuted
     seen: set[int] = set()
     deduped: list[Triple] = []
     for t in alive_triples:

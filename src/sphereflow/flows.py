@@ -10,24 +10,29 @@ Two encodings share one variable layout.  The direct encoding
 (``encode_triples``) blocks every nonzero value combination of a triple;
 it is the published DIMACS export and fixes the published clause counts.
 The support encoding (``encode_support``) is what SAT decisions run on:
-unit propagation on it enforces arc consistency on every triple.
+unit propagation on it enforces arc consistency on every triple.  Every
+decision is one support formula over the whole quotient, one triple per
+mirror class: ``decide_labeling`` solves it once, and ``class_refuter``
+guards each class with a selector so that one incremental solver decides
+any set of live classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .oracle import CspProblem, OrientedTriple, csp_solve
 from .quotient import AntipodalQuotient, components
-from .solver import CnfFormula, SatResult, sat_solve
+from .solver import CnfFormula, SatResult, Solver, sat_solve
 
 __all__ = [
     "FlowInstance",
     "Labeling",
     "VerificationReport",
     "backtrack_search",
+    "class_refuter",
     "count_zero_sum_values",
     "decide_labeling",
     "decode_witness",
@@ -272,24 +277,6 @@ def verify_labeling(labeling: Labeling, inst: FlowInstance) -> VerificationRepor
     return VerificationReport(not problems, tuple(problems))
 
 
-def _chosen_values(model: Sequence[int], n_reps: int, k: int) -> list[int]:
-    """The one value per rep that a model of either encoding selects."""
-    slots = value_slots(k)
-    two_k = len(slots)
-    positives = {lit for lit in model if lit > 0}
-    values: list[int] = []
-    for rep in range(n_reps):
-        chosen = [
-            slots[j] for j in range(two_k) if rep * two_k + j + 1 in positives
-        ]
-        if len(chosen) != 1:
-            raise AssertionError(
-                f"rep {rep} has {len(chosen)} chosen values; encoding bug"
-            )
-        values.append(chosen[0])
-    return values
-
-
 def _checked(labeling: Labeling, inst: FlowInstance, route: str) -> Labeling:
     report = verify_labeling(labeling, inst)
     if not report.ok:
@@ -298,8 +285,20 @@ def _checked(labeling: Labeling, inst: FlowInstance, route: str) -> Labeling:
 
 
 def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
-    """Read the chosen value per rep out of a satisfying assignment."""
-    values = _chosen_values(model, inst.n_reps, inst.k)
+    """Read the chosen value per rep out of a model of either encoding."""
+    slots = value_slots(inst.k)
+    two_k = len(slots)
+    positives = {lit for lit in model if lit > 0}
+    values: list[int] = []
+    for rep in range(inst.n_reps):
+        chosen = [
+            slots[j] for j in range(two_k) if rep * two_k + j + 1 in positives
+        ]
+        if len(chosen) != 1:
+            raise AssertionError(
+                f"rep {rep} has {len(chosen)} chosen values; encoding bug"
+            )
+        values.append(chosen[0])
     return _checked(Labeling(values=tuple(values)), inst, "decoded witness")
 
 
@@ -307,40 +306,42 @@ def decide_labeling(
     inst: FlowInstance,
     solve: Callable[[CnfFormula], SatResult] = sat_solve,
 ) -> Optional[Labeling]:
-    """SAT route: decide an instance block by block on the support CNF.
+    """SAT route: decide an instance with one solve of its support CNF.
 
-    Each class of mirror triples contributes its first triple only.  The
-    classes split into blocks that share representatives, decided
-    smallest first, each as ``solve(encode_support(...))`` over its own
-    reps renumbered from 0.  Returns a verified labeling, reps in no
-    triple taking the value 1, or None at the first refuted block.
+    The formula covers the whole quotient, each class of mirror triples
+    contributing its first triple.  Returns the verified labeling that
+    the model selects, or None when ``solve`` refutes the formula.
     """
     q = inst.quotient
-    class_reps = [q.reps_of_class(cid) for cid in range(q.n_classes)]
-    by_rep: dict[int, list[int]] = {}
-    for cid, reps in enumerate(class_reps):
-        for r in reps:
-            by_rep.setdefault(r, []).append(cid)
-    sharing = [{c for r in reps for c in by_rep[r]} for reps in class_reps]
-    blocks = components(range(q.n_classes), sharing)
-    blocks.sort(key=len)
-    values = [1] * q.n_reps
-    for block in blocks:
-        reps = sorted({r for cid in block for r in class_reps[cid]})
-        remap = {r: i for i, r in enumerate(reps)}
-        constraints = tuple(
-            tuple(
-                (remap[r], s)
-                for r, s in q.oriented_triples[q.triple_classes[cid][0]]
-            )
-            for cid in block
+    result = solve(encode_support(q.n_reps, q.class_triples, inst.k))
+    if not result.satisfiable:
+        return None
+    return decode_witness(result.model, inst)
+
+
+def class_refuter(
+    q: AntipodalQuotient, k: int
+) -> Callable[[AbstractSet[int]], Optional[set[int]]]:
+    """Decide sets of live classes on one incremental solver.
+
+    The solver holds the guarded support CNF of ``q.class_triples``, so
+    class c has the selector n_reps*2k + c + 1.  ``refuted(live)``
+    assumes the selectors of the live classes and the negations of the
+    others.  It returns None when the live classes admit a labeling at
+    bound k, else its core: the classes among the failed assumptions,
+    which admit no labeling on their own.  Learned clauses carry over
+    from one call to the next.
+    """
+    solver = Solver(encode_support(q.n_reps, q.class_triples, k, guarded=True))
+    first = q.n_reps * 2 * k + 1  # selector of class 0
+
+    def refuted(live: AbstractSet[int]) -> Optional[set[int]]:
+        result = solver.solve(
+            [first + c if c in live else -(first + c) for c in range(q.n_classes)]
         )
-        result = solve(encode_support(len(reps), constraints, inst.k))
-        if not result.satisfiable:
-            return None
-        for r, v in zip(reps, _chosen_values(result.model, len(reps), inst.k)):
-            values[r] = v
-    return _checked(Labeling(values=tuple(values)), inst, "SAT labeling")
+        return None if result.satisfiable else {lit - first for lit in result.core}
+
+    return refuted
 
 
 def backtrack_search(inst: FlowInstance) -> Optional[Labeling]:

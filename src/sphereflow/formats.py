@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .field import FIELD_BY_TAG, parse_element, parse_rational, serialize_element
-from .geometry import EPSILON, PointSet, SpherePoint
+from .geometry import EPSILON, PointSet, SpherePoint, _is_zero_sum
 
 __all__ = [
     "DocumentError",
@@ -149,9 +149,14 @@ def document_from_pointset(
 
 
 def pointset_from_document(doc: PointSetDocument) -> PointSet:
-    """Rebuild the unit-sphere point set, checking float coordinates."""
-    if doc.field_tag == "float":
-        pts = []
+    """Rebuild the unit-sphere point set, checking coordinates and triples.
+
+    Every listed triple must sum to zero: exactly in the field, or
+    within EPSILON per coordinate for a float document.
+    """
+    exact = doc.field_tag != "float"
+    pts = []
+    if not exact:
         inv = 1.0 / float(doc.radius)
         for i, entry in enumerate(doc.points):
             x, y, z = _float_shadows(entry, i)
@@ -162,26 +167,29 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
             except ValueError as exc:
                 raise DocumentError(f"point {i}: {exc}") from None
             pts.append(p)
-        return PointSet(points=tuple(pts), triples=doc.triples)
-    field = FIELD_BY_TAG.get(doc.field_tag)
-    if field is None:
-        raise DocumentError(f"unknown field tag {doc.field_tag!r}")
-    inv = field.from_rational(Fraction(1) / doc.radius)
-    pts = []
-    for i, entry in enumerate(doc.points):
-        exact = _coordinates(entry, i, "exact", str)
-        shadows = _float_shadows(entry, i)
-        try:
-            coords = tuple(parse_element(s, field) * inv for s in exact)
-        except ValueError as exc:
-            raise DocumentError(f"point {i}: {exc}") from None
-        for c, s in zip(coords, shadows):
-            if abs(c.to_float() * float(doc.radius) - s) > FLOAT_SHADOW_TOLERANCE:
-                raise DocumentError(
-                    f"point {i} float shadow {s} is off its exact value"
-                )
-        pts.append(SpherePoint.from_exact(coords))
-    return PointSet(points=tuple(pts), triples=doc.triples)
+    else:
+        field = FIELD_BY_TAG.get(doc.field_tag)
+        if field is None:
+            raise DocumentError(f"unknown field tag {doc.field_tag!r}")
+        inv = field.from_rational(Fraction(1) / doc.radius)
+        for i, entry in enumerate(doc.points):
+            exact_coords = _coordinates(entry, i, "exact", str)
+            shadows = _float_shadows(entry, i)
+            try:
+                coords = tuple(parse_element(s, field) * inv for s in exact_coords)
+            except ValueError as exc:
+                raise DocumentError(f"point {i}: {exc}") from None
+            for c, s in zip(coords, shadows):
+                if abs(c.to_float() * float(doc.radius) - s) > FLOAT_SHADOW_TOLERANCE:
+                    raise DocumentError(
+                        f"point {i} float shadow {s} is off its exact value"
+                    )
+            pts.append(SpherePoint.from_exact(coords))
+    ps = PointSet(points=tuple(pts), triples=doc.triples)
+    for t in ps.triples:
+        if not _is_zero_sum(exact, *(ps.points[i] for i in t)):
+            raise DocumentError(f"triple {list(t)} does not sum to zero")
+    return ps
 
 
 def _coordinates(entry: Any, i: int, key: str, kind: Any) -> list:

@@ -86,12 +86,14 @@ class AntipodalQuotient:
     def n_classes(self) -> int:
         return len(self.triple_classes)
 
-    def reps_of_triple(self, triple_id: int) -> tuple[int, int, int]:
-        (r1, _), (r2, _), (r3, _) = self.oriented_triples[triple_id]
-        return (r1, r2, r3)
+    @property
+    def class_triples(self) -> tuple[OrientedTriple, ...]:
+        """The first oriented triple of each class: one constraint per class."""
+        return tuple(self.oriented_triples[tids[0]] for tids in self.triple_classes)
 
     def reps_of_class(self, class_id: int) -> tuple[int, int, int]:
-        return self.reps_of_triple(self.triple_classes[class_id][0])
+        (r1, _), (r2, _), (r3, _) = self.class_triples[class_id]
+        return (r1, r2, r3)
 
 
 def antipode_map(ps: PointSet) -> dict[int, int]:

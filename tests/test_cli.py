@@ -307,6 +307,7 @@ def _assert_one_line_error(code, capsys):
             **doc,
             "provenance": {**doc["provenance"], "construction": [1, 2]},
         },
+        lambda doc: {**doc, "triples": [[0, 1, 2]] + doc["triples"][1:]},
     ],
     ids=[
         "list",
@@ -327,6 +328,7 @@ def _assert_one_line_error(code, capsys):
         "bool-triple-member",
         "bool-radius",
         "construction-not-string",
+        "triple-off-zero-sum",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

@@ -16,6 +16,7 @@ from sphereflow.flows import (
     FlowInstance,
     Labeling,
     backtrack_search,
+    class_refuter,
     count_zero_sum_values,
     decide_labeling,
     decode_witness,
@@ -31,7 +32,7 @@ from sphereflow.flows import (
 from sphereflow.geometry import SpherePoint
 from sphereflow.oracle import CspProblem, csp_solve
 from sphereflow.quotient import AntipodalQuotient
-from sphereflow.solver import Solver, sat_solve
+from sphereflow.solver import sat_solve
 
 
 def synthetic_quotient(
@@ -93,8 +94,7 @@ def test_encoding_matches_closed_form(icosi_q, ce1_q, ce2_q):
 def test_support_encoding_matches_closed_form(ce1_q):
     # mirror triples collapsed, as decide_labeling hands them over: one
     # block, 4566 clauses against the direct encoding's 19765
-    firsts = [ce1_q.oriented_triples[c[0]] for c in ce1_q.triple_classes]
-    formula = encode_support(ce1_q.n_reps, firsts, 4)
+    formula = encode_support(ce1_q.n_reps, ce1_q.class_triples, 4)
     assert (formula.num_vars, formula.n_clauses) == (200, 4566)
     assert formula.n_clauses == expected_support_clause_count(25, 20, 1, 4)
     assert formula.clauses[-1] == (5, 6, 7, 8)  # rep 0 positive
@@ -206,8 +206,8 @@ def test_adding_mirror_triples_never_changes_decision(seed):
     mirrored=st.booleans(),
 )
 def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
-    """Direct CNF, support CNF, the blockwise SAT route and the CSP oracle
-    give one decision; every SAT witness checks out."""
+    """Direct CNF, support CNF, the SAT route and the CSP oracle give one
+    decision; every SAT witness checks out."""
     rng = random.Random(seed)
     triples: list = []
     n_reps = 0
@@ -247,10 +247,10 @@ def test_direct_support_and_oracle_decide_alike(seed, k, parts, mirrored):
     k=st.integers(min_value=1, max_value=3),
 )
 def test_guarded_support_decides_each_set_of_live_classes(seed, k):
-    """One solver over the guarded support CNF, as the greedy prune runs
-    it, decides each set of live classes as decide_labeling decides the
-    instance of just those classes; a refuted set's core classes alone
-    admit no labeling."""
+    """One class_refuter, as the greedy prune runs it, decides each set
+    of live classes as decide_labeling decides the instance of just
+    those classes; a refuted set's core classes alone admit no
+    labeling."""
     rng = random.Random(seed)
     n_reps = rng.randint(3, 8)
     base = synthetic_quotient(rng, n_reps, rng.randint(1, 7)).oriented_triples
@@ -271,20 +271,14 @@ def test_guarded_support_decides_each_set_of_live_classes(seed, k):
         q = synthetic_quotient(rng, n_reps, 0, [triples[t] for m in kept for t in m])
         return FlowInstance(replace(q, triple_classes=tuple(groups)), k)
 
-    formula = encode_support(n_reps, [triples[m[0]] for m in classes], k, guarded=True)
-    first = n_reps * 2 * k + 1  # selector of class 0
-    solver = Solver(formula)
+    q = synthetic_quotient(rng, n_reps, 0, triples)
+    refuted = class_refuter(replace(q, triple_classes=tuple(map(tuple, classes))), k)
     for _ in range(4):
         live = sorted(rng.sample(range(n_classes), rng.randint(0, n_classes)))
-        res = solver.solve(
-            [first + c if c in live else -(first + c) for c in range(n_classes)]
-        )
-        inst = instance(live)
-        assert res.satisfiable == (decide_labeling(inst) is not None)
-        if res.satisfiable:
-            assert verify_labeling(decode_witness(res.model, inst), inst).ok
-        else:
-            core = {lit - first for lit in res.core}
+        core = refuted(set(live))
+        labeling = decide_labeling(instance(live))
+        assert (core is None) == (labeling is not None)
+        if core is not None:
             assert core <= set(live)
             assert backtrack_search(instance(sorted(core))) is None
 
@@ -306,6 +300,25 @@ def test_oracle_ignores_reps_in_no_triple(ce2_q):
         assert padded == (None if base is None else (-k,) * 3 + base)
         # branching on the free reps multiplied the k=4 refutation by 8^3
         assert elapsed < 5.0, f"k={k} with free reps took {elapsed:.1f}s"
+
+
+def test_sat_route_decides_several_blocks_and_free_reps(icosi_q, ce2_q):
+    """One support formula covers blocks that share no rep and reps in
+    no triple: ce2 after three free reps, and icosi's quotient followed
+    by ce2's, are refuted at k=4 and labeled at k=5."""
+
+    def ce2_after(head: int) -> tuple:
+        return tuple(
+            tuple((r + head, s) for r, s in t) for t in ce2_q.class_triples
+        )
+
+    n = icosi_q.n_reps
+    cases = [(3, ce2_after(3)), (n, icosi_q.class_triples + ce2_after(n))]
+    for head, triples in cases:
+        q = synthetic_quotient(random.Random(0), head + ce2_q.n_reps, 0, triples)
+        assert decide_labeling(FlowInstance(q, 4)) is None
+        inst = FlowInstance(q, 5)
+        assert verify_labeling(decide_labeling(inst), inst).ok
 
 
 def test_oracle_refutes_a_block_numbered_last(icosi_q, ce2_q):
@@ -393,6 +406,27 @@ def test_oracle_labelings_are_pinned(icosi_q, ce1_q, ce2_q):
     for q, k, values in pinned:
         labeling = backtrack_search(FlowInstance(q, k))
         assert labeling.values == tuple(int(v) for v in values.split())
+
+
+def test_sat_labelings_are_pinned(icosi_q, ce1_q, ce2_q):
+    """The SAT route returns these labelings; None is a refutation."""
+    pinned = [
+        (icosi_q, 3, None),
+        (icosi_q, 4, "4 -4 2 -2 -2 3 -3 1 -2 2 4 -1 1 1 2"),
+        (icosi_q, 5, "5 -5 3 -3 -2 4 -4 1 -3 2 5 -1 1 2 2"),
+        (ce1_q, 3, None),
+        (ce1_q, 4, None),
+        (ce1_q, 5, "5 -3 1 2 -1 3 -4 3 -1 5 2 -2 -1 -2 4 2 -2 -3 3 1 -1 -1 1 -3 3"),
+        (ce2_q, 3, None),
+        (ce2_q, 4, None),
+        (ce2_q, 5, "5 1 2 -1 4 -1 3 1 -2 -4 5 3 -2 -4 1 -1 3 1"),
+    ]
+    for q, k, values in pinned:
+        labeling = decide_labeling(FlowInstance(q, k))
+        if values is None:
+            assert labeling is None
+        else:
+            assert labeling.values == tuple(int(v) for v in values.split())
 
 
 def test_min_flow_number_icosi(icosi_q):

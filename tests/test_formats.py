@@ -102,6 +102,26 @@ def test_shadow_mismatch_detected(icosi):
         pointset_from_document(tampered)
 
 
+@pytest.mark.parametrize("floats", [False, True])
+def test_triple_off_zero_sum_rejected(icosi, floats):
+    # icosi's points 0, 1 and 2 are in no triple of the configuration
+    if floats:
+        icosi = PointSet(
+            tuple(SpherePoint.from_floats(*p.floats) for p in icosi.points),
+            icosi.triples,
+        )
+    doc = document_from_pointset(icosi, "icosi", {})
+    bad = PointSetDocument(
+        field_tag=doc.field_tag,
+        radius=doc.radius,
+        points=doc.points,
+        triples=((0, 1, 2),) + doc.triples[1:],
+        provenance=doc.provenance,
+    )
+    with pytest.raises(DocumentError, match=r"triple \[0, 1, 2\] does not sum"):
+        pointset_from_document(bad)
+
+
 def test_unknown_field_tag_rejected(icosi):
     doc = document_from_pointset(icosi, "icosi", {})
     bad = PointSetDocument(

@@ -1,4 +1,9 @@
-"""SAT layer: DIMACS round trips and the conflict-learning decision procedure."""
+"""SAT layer: DIMACS round trips and the conflict-learning decision procedure.
+
+The one engine is cross-checked against engine-free references:
+exhaustive enumeration on random formulas and the CSP backtracking
+oracle on the labeling encodings.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphereflow.constructions as constructions
+from sphereflow.flows import FlowInstance, backtrack_search, encode_nzk
 from sphereflow.solver import (
     CnfFormula,
     SatResult,
@@ -48,10 +55,16 @@ def test_trivial_cases():
     one = CnfFormula(num_vars=1, clauses=((1,),))
     res = sat_solve(one)
     assert res.satisfiable and res.model == (1,)
+    chain = CnfFormula(num_vars=2, clauses=((1,), (-1, 2)))
+    assert sat_solve(chain).model == (1, 2)
     contradiction = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
     res = sat_solve(contradiction)
     assert not res.satisfiable and res.model is None
     assert not bool(res)
+
+
+def test_prune_calls_the_one_solver_engine():
+    assert constructions.sat_solve_cdcl is sat_solve
 
 
 def test_formula_validates_literals():
@@ -95,6 +108,41 @@ def test_solver_agrees_with_brute_force_on_wide_clauses():
         assert res.satisfiable == brute_force_sat(f)
         if res.satisfiable:
             assert check_model(f, res.model)
+
+
+def test_solver_is_deterministic():
+    rng = random.Random(31337)
+    for _ in range(30):
+        f = random_formula(rng, max_vars=10)
+        assert sat_solve(f) == sat_solve(f)
+
+
+def test_solver_decides_labeling_encodings(icosi_q):
+    for k, expected in ((3, False), (4, True)):
+        inst = FlowInstance(icosi_q, k)
+        formula = encode_nzk(inst)
+        res = sat_solve(formula)
+        assert res.satisfiable == expected
+        if res.satisfiable:
+            assert check_model(formula, res.model)
+        # the SAT route and the independent oracle must agree
+        assert res.satisfiable == (backtrack_search(inst) is not None)
+
+
+def test_solver_refutes_pigeonhole():
+    # Five pigeons in four holes: small enough to stay fast, hard enough
+    # to generate conflicts and restarts.
+    pigeons, holes = 5, 4
+    var = lambda p, h: p * holes + h + 1
+    clauses = []
+    for p in range(pigeons):
+        clauses.append(tuple(var(p, h) for h in range(holes)))
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append((-var(p1, h), -var(p2, h)))
+    f = CnfFormula(num_vars=pigeons * holes, clauses=tuple(clauses))
+    assert not sat_solve(f).satisfiable
 
 
 def test_check_model_rejects_bad_assignment():
