@@ -9,9 +9,9 @@ on the first mismatch.
 Usage (from the repository root):
     PYTHONPATH=src python3 scripts/reproduce_all.py
 
-On a 2-vCPU machine under CPython 3.11 the run takes 11-13 s, of which
-the 50-point expansion's prune takes about 2-3 s and the second
-construction's search-and-prune about 2 s.
+On a 2-vCPU machine under CPython 3.11 the run takes 6-7 s, of which
+the 50-point expansion's prune takes about 2-2.5 s and the second
+construction's search-and-prune about 1.5 s.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from sphereflow.constructions import (
 from sphereflow.flows import (
     FlowInstance,
     backtrack_search,
-    decode_witness,
+    decide_labeling,
     encode_nzk,
     min_flow_number,
     min_mod_flow_number,
-    verify_labeling,
 )
 from sphereflow.quotient import (
     classify_edge_orbits,
@@ -43,7 +42,6 @@ from sphereflow.quotient import (
     petersen_graph,
     quotient_antipodal,
 )
-from sphereflow.solver import sat_solve
 
 
 def check(label: str, actual, expected=True) -> None:
@@ -56,16 +54,11 @@ def check(label: str, actual, expected=True) -> None:
 
 
 def decide(q, k: int) -> tuple[bool, bool]:
-    """Decision by both routes; returns (sat_engine, oracle)."""
+    """Decision by both routes, as ``sphereflow verify --engine both``
+    makes it; returns (sat_engine, oracle).  Both routes verify every
+    labeling they return."""
     inst = FlowInstance(q, k)
-    res = sat_solve(encode_nzk(inst))
-    if res.satisfiable:
-        lab = decode_witness(res.model, inst)
-        assert verify_labeling(lab, inst).ok
-    oracle = backtrack_search(inst)
-    if oracle is not None:
-        assert verify_labeling(oracle, inst).ok
-    return res.satisfiable, oracle is not None
+    return decide_labeling(inst) is not None, backtrack_search(inst) is not None
 
 
 def banner(text: str) -> None:

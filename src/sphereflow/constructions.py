@@ -136,19 +136,14 @@ def _partner_components(ps: PointSet, n_old: int) -> list[frozenset[int]]:
     exactly when it is a union of these components, so they are the atoms
     any selection must be built from.
     """
-    adj: dict[int, set[int]] = {}
-    for t in ps.triples:
-        fresh = [i for i in t if i >= n_old]
-        if not fresh:
-            continue
-        _require(
-            len(fresh) == 2,
-            "each mixed triple must contain exactly two expansion points",
-        )
-        a, b = fresh
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return [frozenset(c) for c in components(adj, adj)]
+    pairs = [[i for i in t if i >= n_old] for t in ps.triples]
+    pairs = [p for p in pairs if p]
+    _require(
+        all(len(p) == 2 for p in pairs),
+        "each mixed triple must contain exactly two expansion points",
+    )
+    nodes = {i for p in pairs for i in p}
+    return [frozenset(c) for c in components(nodes, pairs)]
 
 
 def build_first_expansion() -> PointSet:
@@ -378,12 +373,7 @@ def largest_connected_component(ps: PointSet) -> PointSet:
     index wins: ``components`` orders them by smallest member, and
     ``max`` keeps the first maximum.
     """
-    adj: list[set[int]] = [set() for _ in range(ps.n_points)]
-    for a, b, c in ps.triples:
-        adj[a] |= {b, c}
-        adj[b] |= {a, c}
-        adj[c] |= {a, b}
-    comps = components(range(ps.n_points), adj)
+    comps = components(range(ps.n_points), ps.triples)
     if not comps:
         raise ValueError("empty point set has no components")
     return _select_points(ps, max(comps, key=len))

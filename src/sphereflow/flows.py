@@ -219,16 +219,13 @@ def encode_support(
     """
     two_k = 2 * k
     clauses = _one_value_clauses(n_reps, two_k)
-    neighbours: list[set[int]] = [set() for _ in range(n_reps)]
     for i, triple in enumerate(triples):
-        for r, _ in triple:
-            neighbours[r].update(m for m, _ in triple)
         if guarded:
             guard = (-(n_reps * two_k + i + 1),)
             clauses += [c + guard for c in _support_clauses(triple, k)]
         else:
             clauses += _support_clauses(triple, k)
-    blocks = components(range(n_reps), neighbours)
+    blocks = components(range(n_reps), ([r for r, _ in t] for t in triples))
     for block in blocks:
         clauses.append(tuple(block[0] * two_k + j + 1 for j in range(k, two_k)))
     num_vars = n_reps * two_k + (len(triples) if guarded else 0)

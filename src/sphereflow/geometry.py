@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .field import FieldElement, Rational, field_sqrt
 
@@ -290,8 +290,35 @@ def small_circle_intersection(
 
 
 # ---------------------------------------------------------------------------
-# deduplication
+# grouping and deduplication
 # ---------------------------------------------------------------------------
+
+
+def components(
+    nodes: Iterable[int], groups: Iterable[Sequence[int]]
+) -> list[list[int]]:
+    """Classes joined by the groups: sorted lists, ordered by smallest member.
+
+    Each group (a pair, a triple) puts all its members in one class, and
+    a node in no group is a class of its own.  Every member must be one
+    of ``nodes``.  Union-find with path halving (Tarjan, JACM 1975).
+    """
+    parent = {u: u for u in nodes}
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for first, *rest in groups:
+        root = find(first)
+        for u in rest:
+            parent[find(u)] = root
+    classes: dict[int, list[int]] = {}
+    for u in sorted(parent):
+        classes.setdefault(find(u), []).append(u)
+    return list(classes.values())
 
 
 def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
@@ -311,18 +338,12 @@ def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
         d2 = sum((x - y) ** 2 for x, y in zip(p.floats, q.floats))
         return d2 <= EPSILON * EPSILON
 
-    parent = list(range(len(raw)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     near = _shadow_grid(raw)
-    for i, p in enumerate(raw):
-        for j in near(p.floats):
-            if j < i and same(p, raw[j]):
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
-    return PointSet(tuple(p for i, p in enumerate(raw) if find(i) == i))
+    duplicates = [
+        (j, i)
+        for i, p in enumerate(raw)
+        for j in near(p.floats)
+        if j < i and same(p, raw[j])
+    ]
+    classes = components(range(len(raw)), duplicates)
+    return PointSet(tuple(raw[c[0]] for c in classes))

@@ -186,10 +186,7 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
                 return result
         return None
 
-    neighbours = {
-        r: [u for ti in tis for u, _ in triples[ti]] for r, tis in by_var.items()
-    }
-    for block in components(by_var, neighbours):
+    for block in components(by_var, ([r for r, _ in t] for t in triples)):
         domains = search(domains, block)
         if domains is None:
             return None

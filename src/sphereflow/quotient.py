@@ -9,9 +9,16 @@ sign.  Shared representatives between triples induce small cubic graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .geometry import EPSILON, PointSet, SpherePoint, _is_zero_sum, _shadow_grid
+from .geometry import (
+    EPSILON,
+    PointSet,
+    SpherePoint,
+    _is_zero_sum,
+    _shadow_grid,
+    components,
+)
 
 __all__ = [
     "AntipodalQuotient",
@@ -34,32 +41,6 @@ class StructureError(ValueError):
 
 OrientedMember = tuple[int, int]
 OrientedTriple = tuple[OrientedMember, OrientedMember, OrientedMember]
-
-
-def components(
-    nodes: Iterable[int],
-    neighbours: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
-) -> list[list[int]]:
-    """Connected components as sorted lists, ordered by smallest member.
-
-    ``neighbours[u]`` lists the nodes adjacent to node u.
-    """
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, comp = [start], []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbours[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 @dataclass(frozen=True)
@@ -139,23 +120,21 @@ def quotient_antipodal(ps: PointSet) -> AntipodalQuotient:
     The representative of a pair is the member whose first nonzero
     coordinate is positive.  Representatives are ordered by the smaller
     original index of their pair, so the quotient is deterministic for a
-    fixed point order.
+    fixed point order.  Each point and its antipode must pair off
+    exactly, so a point set that repeats a point raises StructureError.
     """
-    anti = antipode_map(ps)
-    for i, j in anti.items():
-        if i == j:
-            raise StructureError(f"point {i} is its own antipode")
     rep_of: dict[int, int] = {}
     sign_of: dict[int, int] = {}
     reps: list[SpherePoint] = []
-    for i in range(ps.n_points):
-        if i in rep_of:
-            continue
-        j = anti[i]
+    for pair in components(range(ps.n_points), antipode_map(ps).items()):
+        if len(pair) != 2:
+            raise StructureError(
+                f"points {pair} are not one point and its antipode"
+            )
+        i, j = pair
         chosen = i if _points_positively_oriented(ps.points[i]) else j
-        r = len(reps)
+        rep_of[i] = rep_of[j] = len(reps)
         reps.append(ps.points[chosen])
-        rep_of[i] = rep_of[j] = r
         sign_of[chosen] = 1
         sign_of[i if chosen == j else j] = -1
     oriented: list[OrientedTriple] = []

@@ -8,12 +8,15 @@ explains each refuted set by the assumptions it used; ``sat_solve`` is
 the one-shot form.  Binary and ternary clauses,
 nearly all of a labeling encoding, are propagated from occurrence
 lists; longer clauses use two watched literals.  On load it drops every
-repeated binary and ternary clause, keeping the first occurrence: the
-published direct CNF keeps both mirror copies of each triple's
-clauses, so nearly half of it repeats (ce1 at k=4 has 10245 distinct
-clauses of 19765), and a repeat only costs visits.  It is fully
-deterministic: ties break on variable index and nothing is randomized.
-Models are re-verified against every clause before being returned.
+clause that repeats an earlier one literal for literal, keeping the
+first occurrence: the published direct CNF keeps both mirror copies of
+each triple's clauses, and a mirror triple blocks the same value
+combinations in the same order, so nearly half of it repeats (ce1 at
+k=4 has 10245 distinct clauses of 19765), and a repeat only costs
+visits.  A repeat with its literals permuted stays; it sits after its
+original in every occurrence list, so it never changes propagation.
+The solver is fully deterministic: ties break on variable index and
+nothing is randomized.  Models are re-verified against every clause before being returned.
 UNSAT answers carry no certificate; ``verify --engine both`` re-decides
 them with the independent CSP backtracking search in ``oracle``.
 """
@@ -183,7 +186,10 @@ class Solver:
         # False once the formula is refuted without any assumption.
         ok = True
         units: list[int] = []
-        for clause in formula.clauses:
+        # A clause repeated literal for literal is loaded once: the first
+        # occurrence keeps its place in every list, so the lists are those
+        # of the formula without the repeats, and so is the search.
+        for clause in dict.fromkeys(formula.clauses):
             lits = list(dict.fromkeys(clause))
             if any(-lit in clause for lit in lits):
                 continue
@@ -193,25 +199,6 @@ class Solver:
                 units.append(lits[0])
             else:
                 add_clause(lits)
-        # Drop repeated binary and ternary clauses, list by list: a later
-        # entry whose other literals match an earlier one is the same clause.
-        # The first occurrence keeps its place and pair order, so the lists
-        # are those of the formula without the repeats, and so is the search.
-        for slot, others in enumerate(bins):
-            if len(others) > 1:
-                bins[slot] = list(dict.fromkeys(others))
-        for slot, flat in enumerate(terns):
-            if len(flat) > 2:
-                seen: set[tuple[int, int]] = set()
-                unique: list[int] = []
-                pairs = iter(flat)
-                for a, b in zip(pairs, pairs):
-                    key = (a, b) if a < b else (b, a)
-                    if key not in seen:
-                        seen.add(key)
-                        unique += (a, b)
-                terns[slot] = unique
-
         val = [0] * size  # 1 true, -1 false, 0 unassigned; indexed by literal
         # neg[lit] is -lit as one shared int object, so the literals that
         # learned clauses keep are not each a fresh object.

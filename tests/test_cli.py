@@ -308,6 +308,11 @@ def _assert_one_line_error(code, capsys):
             "provenance": {**doc["provenance"], "construction": [1, 2]},
         },
         lambda doc: {**doc, "triples": [[0, 1, 2]] + doc["triples"][1:]},
+        # point 0 and its antipode 3 again
+        lambda doc: {
+            **doc,
+            "points": doc["points"] + [doc["points"][i] for i in (0, 3)],
+        },
     ],
     ids=[
         "list",
@@ -329,6 +334,7 @@ def _assert_one_line_error(code, capsys):
         "bool-radius",
         "construction-not-string",
         "triple-off-zero-sum",
+        "repeated-point",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

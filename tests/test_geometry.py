@@ -14,6 +14,7 @@ from sphereflow.geometry import (
     EPSILON,
     PointSet,
     SpherePoint,
+    components,
     dedup_points,
     exact_dot,
     find_zero_sum_triples,
@@ -120,6 +121,45 @@ def test_antipode_round_trip(icosi):
     assert q.antipode() == p
     assert all(abs(a + b) < 1e-15 for a, b in zip(p.floats, q.floats))
     assert q.is_exact
+
+
+def _merged_by_brute_force(nodes, groups):
+    classes = [{u} for u in nodes]
+    for group in groups:
+        hit = [c for c in classes if c & set(group)]
+        classes = [c for c in classes if not c & set(group)]
+        classes.append(set().union(*hit))
+    # disjoint classes: ordering the sorted lists orders them by smallest member
+    return sorted(sorted(c) for c in classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_components_match_a_brute_force_merge(seed):
+    rng = random.Random(seed)
+    nodes = rng.sample(range(60), rng.randint(1, 30))
+    groups = [
+        rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+        for _ in range(rng.randint(0, 25))
+    ]
+    assert components(nodes, groups) == _merged_by_brute_force(nodes, groups)
+
+
+def test_components_keep_nodes_in_no_group():
+    assert components(range(5), [(3, 1)]) == [[0], [1, 3], [2], [4]]
+    assert components(range(3), []) == [[0], [1], [2]]
+    assert components((), []) == []
+
+
+def test_components_are_ordered_by_smallest_member():
+    """The quotient numbers its reps in this order, and
+    ``largest_connected_component`` keeps the first of equally large
+    classes, which is the one holding the smallest node."""
+    comps = components([9, 5, 2, 7, 0], [(9, 2), (7, 5, 0)])
+    assert comps == [[0, 5, 7], [2, 9]]
+    tied = components(range(6), [(5, 4), (3, 1)])
+    assert tied == [[0], [1, 3], [2], [4, 5]]
+    assert max(tied, key=len) == [1, 3]
 
 
 def test_dedup_points_merges_close_floats():

@@ -128,6 +128,22 @@ def test_quotient_rejects_triple_through_antipodal_pair():
         quotient_antipodal(ps)
 
 
+def test_quotient_rejects_a_repeated_point(ce2):
+    """ce2 with point 4 and its antipode 7 appended again: the antipode map
+    sends both copies of each to the other's first copy, so the four
+    points form one class, in the exact set and in its float shadows."""
+    ps = ce2.final
+    assert antipode_map(ps)[4] == 7
+    exact = PointSet(ps.points + (ps.points[4], ps.points[7]), ps.triples)
+    shadows = PointSet(
+        tuple(SpherePoint.from_floats(*p.floats) for p in exact.points),
+        ps.triples,
+    )
+    for repeated in (exact, shadows):
+        with pytest.raises(StructureError, match=r"points \[4, 7, 36, 37\]"):
+            quotient_antipodal(repeated)
+
+
 def test_quotient_of_empty_set():
     q = quotient_antipodal(PointSet(()))
     assert q.n_reps == 0 and q.n_classes == 0
