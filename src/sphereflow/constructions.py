@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .field import F1, F2, FieldElement, field_sqrt
 from .geometry import (
     EPSILON,
+    SHADOW_TOLERANCE,
     PointSet,
     SpherePoint,
     Triple,
@@ -169,22 +170,16 @@ def build_first_expansion() -> PointSet:
     mirror = frozenset(anti[i] for i in first)
     _require(mirror in comps, "antipodal mirror must itself be a component")
     _require(not (first & mirror), "component must not meet its mirror")
-    keep = sorted(set(range(n_old)) | first | mirror)
-    ps = _select_points(full, keep)
-    triples = find_zero_sum_triples(ps)
-    _require(len(triples) == 40, f"expected 40 triples, got {len(triples)}")
-    old = {t for t in triples if all(i < n_old for i in t)}
+    # The kept points' zero-sum triples are exactly the full set's
+    # triples among them, which _select_points carries over.
+    ps = _select_points(full, sorted(set(range(n_old)) | first | mirror))
+    n_triples = len(ps.triples)
+    _require(n_triples == 40, f"expected 40 triples, got {n_triples}")
+    old = {t for t in ps.triples if all(i < n_old for i in t)}
     _require(len(old) == 20, "original triples must be preserved")
-    ps = ps.with_triples(triples)
-    _require(count_antipodal_pairs(ps) == 25, "expected 25 antipodal pairs")
+    n_pairs = quotient_antipodal(ps).n_reps
+    _require(n_pairs == 25, f"expected 25 antipodal pairs, got {n_pairs}")
     return ps
-
-
-def count_antipodal_pairs(ps: PointSet) -> int:
-    """Number of antipodal point pairs; raises if the set is not closed."""
-    if not ps.all_exact:
-        raise ValueError("count_antipodal_pairs expects an exact point set")
-    return len(antipode_map(ps)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +204,6 @@ class CandidateValue:
 @dataclass(frozen=True)
 class CandidateSurvey:
     kept: tuple[CandidateValue, ...]
-    dropped: tuple[str, ...]
 
 
 def candidate_coordinate_survey() -> CandidateSurvey:
@@ -218,13 +212,11 @@ def candidate_coordinate_survey() -> CandidateSurvey:
     c_rat = |w1 + w2*sqrt3|/2 for 0 <= w1 <= 2 and |w2| <= 2 (the grid
     of SURVEY_PARAMETERS) is computed exactly in Q(sqrt3).  c_sqrt =
     sqrt(c_rat) is kept exact when the square root exists in the field;
-    otherwise the candidate survives as a float-only value and is
-    reported in `dropped` so the final configuration can be checked
-    against it later.  Values > 1 are discarded, and the survivors are
-    deduplicated and sorted ascending.
+    otherwise the candidate survives as a float-only value.  Values > 1
+    are discarded, and the survivors are deduplicated and sorted
+    ascending.
     """
     kept: list[CandidateValue] = []
-    dropped: list[str] = []
     seen_exact: set[FieldElement] = set()
     seen_float: list[float] = []
 
@@ -234,7 +226,7 @@ def candidate_coordinate_survey() -> CandidateSurvey:
                 return
             seen_exact.add(exact)
         else:
-            if any(abs(value - v) <= 1e-12 for v in seen_float):
+            if any(abs(value - v) <= SHADOW_TOLERANCE for v in seen_float):
                 return
         seen_float.append(value)
         kept.append(CandidateValue(value, exact))
@@ -253,20 +245,9 @@ def candidate_coordinate_survey() -> CandidateSurvey:
             if c_sqrt is not None:
                 add(c_sqrt.to_float(), c_sqrt)
             else:
-                value = math.sqrt(c_rat.to_float())
-                add(value, None)
-                dropped.append(
-                    f"sqrt branch at (w1={w1}, w2={w2}): square root of "
-                    f"{c_rat.coeffs} is not in the field; kept as float only"
-                )
+                add(math.sqrt(c_rat.to_float()), None)
     kept.sort(key=lambda c: c.value)
-    return CandidateSurvey(tuple(kept), tuple(dropped))
-
-
-def candidate_coordinates() -> list[FieldElement]:
-    """The exactly representable candidate coordinate values, ascending."""
-    survey = candidate_coordinate_survey()
-    return [c.exact for c in survey.kept if c.exact is not None]
+    return CandidateSurvey(tuple(kept))
 
 
 def generate_candidate_points_float(values: Sequence[float]) -> PointSet:
@@ -390,8 +371,6 @@ def _labeling_exists(ps: PointSet, k: int) -> bool:
     Decided from scratch by ``decide_labeling``: one solve of the
     quotient's support CNF by the conflict-learning solver.
     """
-    if not ps.triples:
-        return True
     q = quotient_antipodal(ps)
     return decide_labeling(FlowInstance(q, k), sat_solve_cdcl) is not None
 
@@ -499,15 +478,11 @@ def final_coordinate_values() -> tuple[FieldElement, ...]:
     )
 
 
-# How far a float coordinate may sit from the field element it lifts to.
-_LIFT_TOLERANCE = 1e-12
-
-
 def lift_to_exact(ps: PointSet, coords: Sequence[FieldElement]) -> PointSet:
     """Exact twin of a float point set over known coordinate values.
 
     Every |coordinate| must match one of the given field elements within
-    _LIFT_TOLERANCE (signs carry over).  Zero-sum triples are re-detected
+    SHADOW_TOLERANCE (signs carry over).  Zero-sum triples are re-detected
     from scratch on both sides and must agree; the input's selected triple
     list (possibly a pruned subset of the geometric ones) carries over.
     """
@@ -517,10 +492,10 @@ def lift_to_exact(ps: PointSet, coords: Sequence[FieldElement]) -> PointSet:
     def lift_one(v: float) -> FieldElement:
         av = abs(v)
         fv, e = min(table, key=lambda pair: abs(pair[0] - av))
-        if abs(fv - av) > _LIFT_TOLERANCE:
+        if abs(fv - av) > SHADOW_TOLERANCE:
             raise ConstructionError(
                 f"coordinate {v!r} matches no exact value "
-                f"within {_LIFT_TOLERANCE}"
+                f"within {SHADOW_TOLERANCE}"
             )
         return -e if v < 0 else e
 

@@ -7,7 +7,7 @@ problem is decided twice, by CNF encoding plus SAT solving and by a
 direct backtracking oracle, and the two answers are cross-checked.
 
 Two encodings share one variable layout.  The direct encoding
-(``encode_triples``) blocks every nonzero value combination of a triple;
+(``encode_nzk``) blocks every nonzero value combination of a triple;
 it is the published DIMACS export and fixes the published clause counts.
 The support encoding (``encode_support``) is what SAT decisions run on:
 unit propagation on it enforces arc consistency on every triple.  Every
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import AbstractSet, Callable, Optional, Sequence
 
-from .oracle import CspProblem, OrientedTriple, csp_solve
-from .quotient import AntipodalQuotient, components
+from .oracle import CspProblem, csp_solve
+from .quotient import AntipodalQuotient, OrientedTriple
 from .solver import CnfFormula, SatResult, Solver, sat_solve
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "decode_witness",
     "encode_nzk",
     "encode_support",
-    "encode_triples",
     "expected_clause_count",
     "expected_support_clause_count",
     "min_flow_number",
@@ -106,16 +105,15 @@ def _one_value_clauses(n_reps: int, two_k: int) -> list[tuple[int, ...]]:
     return clauses
 
 
-def encode_triples(
-    n_reps: int, triples: Sequence[OrientedTriple], k: int
-) -> CnfFormula:
-    """CNF for labeling n_reps reps under the oriented triples, bound k.
+def encode_nzk(inst: FlowInstance) -> CnfFormula:
+    """Direct CNF for a flow instance over every oriented triple.
 
     Clause order is deterministic.  Variable i*2k + j + 1 asserts rep i takes value_slots(k)[j].  Per
     rep: one at-least-one clause then the pairwise at-most-one clauses;
     per oriented triple: a 3-literal blocking clause for every ordered
     value combination whose signed sum is nonzero.
     """
+    n_reps, triples, k = inst.n_reps, inst.triples, inst.k
     slots = value_slots(k)
     two_k = len(slots)
 
@@ -151,17 +149,11 @@ def encode_triples(
     return formula
 
 
-def encode_nzk(inst: FlowInstance) -> CnfFormula:
-    """CNF for a flow instance: encode_triples over its quotient."""
-    return encode_triples(inst.n_reps, inst.triples, inst.k)
-
-
-def expected_support_clause_count(
-    n_reps: int, n_triples: int, n_blocks: int, k: int
-) -> int:
-    """Closed form: P*(1 + C(2k,2)) + T*3*(2k)^2 + B."""
+def expected_support_clause_count(n_reps: int, n_triples: int, k: int) -> int:
+    """Closed form: P*(1 + C(2k,2)) + T*3*(2k)^2, plus 1 when T > 0."""
     two_k = 2 * k
-    return n_reps * (1 + comb(two_k, 2)) + n_triples * 3 * two_k**2 + n_blocks
+    sign_clauses = 1 if n_triples else 0
+    return n_reps * (1 + comb(two_k, 2)) + n_triples * 3 * two_k**2 + sign_clauses
 
 
 def _support_clauses(triple: OrientedTriple, k: int) -> list[tuple[int, ...]]:
@@ -203,19 +195,20 @@ def _support_clauses(triple: OrientedTriple, k: int) -> list[tuple[int, ...]]:
 def encode_support(
     n_reps: int, triples: Sequence[OrientedTriple], k: int, guarded: bool = False
 ) -> CnfFormula:
-    """Support-encoding CNF with the variable layout of encode_triples.
+    """Support-encoding CNF with the variable layout of encode_nzk.
 
     Per rep: the at-least-one clause then the pairwise at-most-one
-    clauses.  Per oriented triple: its ``_support_clauses``.  Last, one
-    clause per connected block of reps makes its smallest rep positive,
-    which is sound because negating a labeling gives another.
+    clauses.  Per oriented triple: its ``_support_clauses``.  Last, when
+    there are triples, one clause makes the smallest rep that any triple
+    names positive, which is sound because negating a whole labeling
+    gives another.
 
     With ``guarded``, triple i also gets the selector variable
     n_reps*2k + i + 1, and every one of its clauses the literal -s_i:
     assuming s_i imposes the triple and assuming -s_i drops it.  The
-    sign-breaking clauses stay unguarded.  They remain sound for any
-    subset of the triples, because negating the part of a block that
-    holds its smallest rep still maps labelings to labelings.
+    sign-breaking clause stays unguarded.  It remains sound for any
+    subset of the triples, because global negation maps the labelings
+    of every subset to labelings of the same subset.
     """
     two_k = 2 * k
     clauses = _one_value_clauses(n_reps, two_k)
@@ -225,12 +218,12 @@ def encode_support(
             clauses += [c + guard for c in _support_clauses(triple, k)]
         else:
             clauses += _support_clauses(triple, k)
-    blocks = components(range(n_reps), ([r for r, _ in t] for t in triples))
-    for block in blocks:
-        clauses.append(tuple(block[0] * two_k + j + 1 for j in range(k, two_k)))
+    if triples:
+        first = min(r for t in triples for r, _ in t)
+        clauses.append(tuple(first * two_k + j + 1 for j in range(k, two_k)))
     num_vars = n_reps * two_k + (len(triples) if guarded else 0)
     formula = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
-    expected = expected_support_clause_count(n_reps, len(triples), len(blocks), k)
+    expected = expected_support_clause_count(n_reps, len(triples), k)
     if formula.n_clauses != expected:
         raise AssertionError(
             f"clause count {formula.n_clauses} != closed form {expected}"

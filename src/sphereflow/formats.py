@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .field import FIELD_BY_TAG, parse_element, parse_rational, serialize_element
-from .geometry import EPSILON, PointSet, SpherePoint, _is_zero_sum
+from .geometry import EPSILON, SHADOW_TOLERANCE, PointSet, SpherePoint, _is_zero_sum
 
 __all__ = [
     "DocumentError",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-FLOAT_SHADOW_TOLERANCE = 1e-12
 
 
 class DocumentError(ValueError):
@@ -180,7 +179,7 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
             except ValueError as exc:
                 raise DocumentError(f"point {i}: {exc}") from None
             for c, s in zip(coords, shadows):
-                if abs(c.to_float() * float(doc.radius) - s) > FLOAT_SHADOW_TOLERANCE:
+                if abs(c.to_float() * float(doc.radius) - s) > SHADOW_TOLERANCE:
                     raise DocumentError(
                         f"point {i} float shadow {s} is off its exact value"
                     )

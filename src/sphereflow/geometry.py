@@ -30,6 +30,10 @@ class ExactnessError(ValueError):
 
 # The tolerance of every float comparison and the side of a shadow-grid cell.
 EPSILON = 1e-7
+# How far a float may sit from the exact value it stands for: a stored
+# shadow from its coordinate, a survey float from an earlier candidate, a
+# float coordinate from the field element it lifts to.
+SHADOW_TOLERANCE = 1e-12
 
 ExactCoords = tuple[FieldElement, FieldElement, FieldElement]
 FloatCoords = tuple[float, float, float]
@@ -93,6 +97,7 @@ class PointSet:
 
     def __post_init__(self) -> None:
         n = len(self.points)
+        seen: set[frozenset[int]] = set()
         for t in self.triples:
             if (
                 len(t) != 3
@@ -100,6 +105,9 @@ class PointSet:
                 or len(set(t)) != 3
             ):
                 raise ValueError(f"malformed triple {t}")
+            if frozenset(t) in seen:
+                raise ValueError(f"triple {t} repeats an earlier triple")
+            seen.add(frozenset(t))
 
     @property
     def n_points(self) -> int:

@@ -20,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .quotient import components
+from .quotient import OrientedMember, OrientedTriple, components
 
 __all__ = ["CspProblem", "csp_solve"]
-
-OrientedMember = tuple[int, int]
-OrientedTriple = tuple[OrientedMember, OrientedMember, OrientedMember]
 
 
 @dataclass(frozen=True)

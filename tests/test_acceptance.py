@@ -15,8 +15,6 @@ from sphereflow.constructions import (
     build_first_expansion,
     build_icosidodecahedron,
     candidate_coordinate_survey,
-    candidate_coordinates,
-    count_antipodal_pairs,
     final_coordinate_values,
     generate_candidate_points_float,
     largest_connected_component,
@@ -108,7 +106,7 @@ def test_criterion_04_first_expansion_counts():
     dt = time.perf_counter() - t0
     assert ps.n_points == 50
     assert len(ps.triples) == 40
-    assert count_antipodal_pairs(ps) == 25
+    assert quotient_antipodal(ps).n_reps == 25
     _stamp(4, "expansion has 50 points / 40 triples / 25 antipodal pairs", dt, 5.0)
 
 
@@ -169,7 +167,7 @@ def test_criterion_07_first_expansion_graph_structure(ce1_q):
 def test_criterion_08_candidate_search_and_component():
     t0 = time.perf_counter()
     survey = candidate_coordinate_survey()
-    exact = candidate_coordinates()
+    exact = [c.exact for c in survey.kept if c.exact is not None]
     finals = final_coordinate_values()
     cloud = generate_candidate_points_float([c.value for c in survey.kept])
     cloud = cloud.with_triples(find_zero_sum_triples(cloud))
@@ -205,7 +203,6 @@ def test_criterion_09_second_counterexample_decisions(ce2, ce2_q):
     t0 = time.perf_counter()
     assert ce2.n_points == 36
     assert ce2.n_triples == 13
-    assert count_antipodal_pairs(ce2.final) == 18
     assert ce2_q.n_reps == 18
 
     inst4 = FlowInstance(ce2_q, 4)

@@ -313,6 +313,8 @@ def _assert_one_line_error(code, capsys):
             **doc,
             "points": doc["points"] + [doc["points"][i] for i in (0, 3)],
         },
+        # triple 0 again, members reversed
+        lambda doc: {**doc, "triples": doc["triples"] + [doc["triples"][0][::-1]]},
     ],
     ids=[
         "list",
@@ -335,6 +337,7 @@ def _assert_one_line_error(code, capsys):
         "construction-not-string",
         "triple-off-zero-sum",
         "repeated-point",
+        "repeated-triple",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

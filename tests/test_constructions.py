@@ -16,8 +16,6 @@ from sphereflow.constructions import (
     _select_points,
     build_first_expansion,
     candidate_coordinate_survey,
-    candidate_coordinates,
-    count_antipodal_pairs,
     final_coordinate_values,
     generate_candidate_points_float,
     icosidodecahedron_distance_pairs,
@@ -37,10 +35,10 @@ from sphereflow.quotient import antipode_map
 # ---------------------------------------------------------------------------
 
 
-def test_icosi_counts(icosi):
+def test_icosi_counts(icosi, icosi_q):
     assert icosi.n_points == 30
     assert len(icosi.triples) == 20
-    assert count_antipodal_pairs(icosi) == 15
+    assert icosi_q.n_reps == 15
     assert icosi.all_exact
     assert set(icosi.degrees()) == {2}
 
@@ -75,10 +73,10 @@ def test_symmetric_expansion_counts():
     assert full.all_exact
 
 
-def test_first_expansion_counts(ce1):
+def test_first_expansion_counts(ce1, ce1_q):
     assert ce1.n_points == 50
     assert len(ce1.triples) == 40
-    assert count_antipodal_pairs(ce1) == 25
+    assert ce1_q.n_reps == 25
     assert ce1.all_exact
 
 
@@ -149,8 +147,7 @@ def test_survey_default_parameters():
     assert len(survey.kept) == 11
     exact = [c for c in survey.kept if c.exact is not None]
     assert len(exact) == 8
-    # four sqrt branches fall outside the field; three survive as floats
-    assert len(survey.dropped) == 4
+    # three sqrt branches outside the field survive as floats only
     assert sum(1 for c in survey.kept if c.exact is None) == 3
     values = [c.value for c in survey.kept]
     assert values == sorted(values)
@@ -172,8 +169,8 @@ def test_survey_default_parameters():
     assert all(abs(a - b) < 1e-12 for a, b in zip(values, expected))
 
 
-def test_final_values_subset_of_candidates():
-    exact = candidate_coordinates()
+def test_final_values_subset_of_candidates(ce2):
+    exact = [c.exact for c in ce2.survey.kept if c.exact is not None]
     finals = final_coordinate_values()
     assert len(finals) == 7
     assert set(finals) <= set(exact)
@@ -207,10 +204,10 @@ def test_ce2_component_counts(ce2):
     assert len(ce2.component.triples) == 108
 
 
-def test_ce2_final_counts(ce2):
+def test_ce2_final_counts(ce2, ce2_q):
     assert ce2.n_points == 36
     assert ce2.n_triples == 13
-    assert count_antipodal_pairs(ce2.final) == 18
+    assert ce2_q.n_reps == 18
     assert ce2.final.all_exact
 
 

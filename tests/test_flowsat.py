@@ -91,20 +91,25 @@ def test_encoding_matches_closed_form(icosi_q, ce1_q, ce2_q):
         )
 
 
-def test_support_encoding_matches_closed_form(ce1_q):
+def test_support_encoding_matches_closed_form(ce1_q, ce2_q):
     # mirror triples collapsed, as decide_labeling hands them over: one
     # block, 4566 clauses against the direct encoding's 19765
     formula = encode_support(ce1_q.n_reps, ce1_q.class_triples, 4)
     assert (formula.num_vars, formula.n_clauses) == (200, 4566)
-    assert formula.n_clauses == expected_support_clause_count(25, 20, 1, 4)
+    assert formula.n_clauses == expected_support_clause_count(25, 20, 4)
     assert formula.clauses[-1] == (5, 6, 7, 8)  # rep 0 positive
-    # mirrors kept: each adds 3*(2k)^2 clauses, the block count stays
+    # mirrors kept: each adds 3*(2k)^2 clauses, still one sign clause
     full = encode_support(ce1_q.n_reps, ce1_q.oriented_triples, 4)
     assert full.n_clauses == 4566 + 20 * 3 * 64
-    # a rep in no triple is a block of its own
+    # a rep in no triple gets no sign clause
     lone = encode_support(4, [((0, 1), (1, 1), (2, -1))], 1)
-    assert lone.clauses[-2:] == ((2,), (8,))
-    assert lone.n_clauses == expected_support_clause_count(4, 1, 2, 1)
+    assert lone.clauses[-1] == (2,) and (8,) not in lone.clauses
+    assert lone.n_clauses == expected_support_clause_count(4, 1, 1)
+    # three free reps before ce2's: the sign clause names rep 3
+    shifted = [tuple((r + 3, s) for r, s in t) for t in ce2_q.class_triples]
+    padded = encode_support(ce2_q.n_reps + 3, shifted, 4)
+    assert padded.clauses[-1] == (29, 30, 31, 32)
+    assert padded.n_clauses == expected_support_clause_count(21, 13, 4)
 
 
 def test_encoding_is_byte_deterministic(icosi_q):
