@@ -1,22 +1,23 @@
 """Exact arithmetic in real biquadratic number fields Q[t]/(t^4 + p t^2 + q).
 
+An element is (n0 + n1 t + n2 t^2 + n3 t^3) / den: four integers over
+one positive denominator, in lowest terms after one gcd (the form of
+Cohen, A Course in Computational Algebraic Number Theory, 4.2).  Sums
+and products are integer expressions, reduced by t^4 = -q - p t^2.
 Each field is a tower of two quadratic steps, Q < Q(theta) < Q(t): theta
 is the larger root of theta^2 + p theta + q = 0 and t = sqrt(theta) > 0
-is the largest real root of the minimal polynomial.  An element
-c0 + c1 t + c2 t^2 + c3 t^3 is A + B t with A = c0 + c2 theta and
-B = c1 + c3 theta in Q(theta).  Signs compare squares one step at a
-time, inverses multiply by the conjugate A - B t, and float embeddings
-come from integer square roots at a precision chosen from the
-coefficients, so no comparison ever depends on floating-point luck.
-
-Fields and elements never change once built.
+is the largest real root of the minimal polynomial, so den times an
+element is A + B t with A = n0 + n2 theta and B = n1 + n3 theta.  Signs
+compare squares one step at a time, inverses multiply by the conjugate
+A - B t, and float embeddings come from integer square roots at a
+precision chosen from the coefficients, so no comparison ever depends
+on floating-point luck.  Fields and elements never change once built.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -191,18 +192,13 @@ class QuarticField:
         disc = p * p - 4 * q
         if disc < 0 or (p >= 0 and q > 0):
             raise ValueError("minimal polynomial has no real root")
-        self.minimal_polynomial = coeffs
-        self.tag = tag
+        self.minimal_polynomial, self.tag = coeffs, tag
         self._p, self._q, self._disc = p, q, disc
         # each of _scaled_powers' roundings stays below 2 (t + theta + 1)
         # <= 3 (theta + 1), and theta <= |p| + sqrt|q| <= |p| + |q|
         self._slack_bits = (3 * (abs(p) + abs(q) + 1)).bit_length()
-        # reduction rows for t^4, t^5, t^6 as degree-<4 coefficient tuples
-        fp, fq, zero = coeffs[2], coeffs[0], Fraction(0)
-        self._red = (
-            (-fq, zero, -fp, zero),
-            (zero, -fq, zero, -fp),
-            (fp * fq, zero, fp * fp - fq, zero),
+        self.zero, self.one, self.t = (
+            FieldElement(self, 1, n) for n in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0))
         )
 
     # -- identity ----------------------------------------------------------
@@ -223,26 +219,15 @@ class QuarticField:
     # -- element constructors ----------------------------------------------
 
     def element(self, *coeffs: RationalLike) -> "FieldElement":
-        cs = tuple(_frac(c) for c in coeffs)
+        cs = [_frac(c) for c in coeffs]
         if len(cs) > 4:
             raise ValueError("at most 4 coefficients")
-        cs = cs + (Fraction(0),) * (4 - len(cs))
-        return FieldElement(self, cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        return FieldElement(self, den, num + [0] * (4 - len(cs)))
 
     def from_rational(self, r: RationalLike) -> "FieldElement":
-        return self.element(_frac(r))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.element()
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    @property
-    def t(self) -> "FieldElement":
-        return self.element(0, 1)
+        return self.element(r)
 
     # -- real embedding ------------------------------------------------------
 
@@ -255,38 +240,51 @@ class QuarticField:
         return (1 << n, t1, t2, (t1 * t2) >> n)
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """c0 + c1*t + c2*t^2 + c3*t^3 with rational coefficients."""
+    """(n0 + n1 t + n2 t^2 + n3 t^3) / den in lowest terms, den > 0.
 
-    field: QuarticField
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    Zero is (1, (0, 0, 0, 0)); equal values have equal den and num.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 4:
-            raise ValueError("exactly 4 coefficients required")
+    __slots__ = ("field", "den", "num")
 
-    # -- helpers -------------------------------------------------------------
+    def __init__(self, field: QuarticField, den: int, num: Sequence[int]):
+        if not den:
+            raise ZeroDivisionError("field element with zero denominator")
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        self.field = field
+        self.den = den // g
+        self.num = tuple(c // g for c in num) if g != 1 else tuple(num)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The four rational coefficients of 1, t, t^2, t^3, reduced."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den) and (
+            self.field is other.field or self.field == other.field
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.den, self.num))
 
     def _coerce(self, other: object) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFieldError(
                     f"operands from different fields: {self.field!r} vs {other.field!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
-
-    def _integral(self) -> tuple[int, list[int]]:
-        """(d, k) with d > 0 and self = sum k_i t^i / d, all integers."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return self.field.element(other) if isinstance(other, (int, Fraction)) else None
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # -- ring operations -------------------------------------------------------
 
@@ -294,46 +292,43 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        num = tuple(a * db + b * da for a, b in zip(self.num, o.num))
+        return FieldElement(self.field, da * db, num)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, self.den, tuple(-a for a in self.num))
 
     def __sub__(self, other: object) -> "FieldElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other: object) -> "FieldElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other: object) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * 7
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] != 0:
-                    prod[i + j] += a[i] * b[j]
-        out = list(prod[:4])
-        for d in range(4, 7):
-            if prod[d] != 0:
-                row = self.field._red[d - 4]
-                for i in range(4):
-                    out[i] += prod[d] * row[i]
-        return FieldElement(self.field, tuple(out))
+        fld = self.field
+        p, q = fld._p, fld._q
+        a0, a1, a2, a3 = self.num
+        b0, b1, b2, b3 = o.num
+        # product coefficients of t^4 and t^5, with t^6 = -q t^2 - p t^4
+        # already folded in; then t^4 = -q - p t^2 and t^5 = -q t - p t^3
+        t6 = a3 * b3
+        t5 = a2 * b3 + a3 * b2
+        t4 = a1 * b3 + a2 * b2 + a3 * b1 - p * t6
+        num = (
+            a0 * b0 - q * t4,
+            a0 * b1 + a1 * b0 - q * t5,
+            a0 * b2 + a1 * b1 + a2 * b0 - q * t6 - p * t4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - p * t5,
+        )
+        return FieldElement(fld, self.den * o.den, num)
 
     __rmul__ = __mul__
 
@@ -343,30 +338,31 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         fld = self.field
         p, q = fld._p, fld._q
-        a, b = _tower(self.coeffs)
-        inv_norm = _l_div((Fraction(1), Fraction(0)), _tower_norm(a, b, p, q), p, q)
-        ia, ib = _l_mul(a, inv_norm, p, q), _l_mul(b, inv_norm, p, q)
-        result = fld.element(ia[0], -ib[0], ia[1], -ib[1])
+        # self = (A + B t) / den with A, B integral in Q(theta); N is the
+        # norm to Q(theta) and N * conj(N) = n an integer, so
+        # 1/self = den (A - B t) conj(N) / n
+        a, b = _tower(self.num)
+        norm = _tower_norm(a, b, p, q)
+        conj = (norm[0] - p * norm[1], -norm[1])
+        n = _l_mul(norm, conj, p, q)[0]
+        ia, ib = _l_mul(a, conj, p, q), _l_mul(b, conj, p, q)
+        d = self.den
+        result = FieldElement(fld, n, (d * ia[0], -d * ib[0], d * ia[1], -d * ib[1]))
         assert result * self == fld.one, "inverse self-check failed"
         return result
 
     def __truediv__(self, other: object) -> "FieldElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "FieldElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = self.field.one
-        base = self
+        out, base = self.field.one, self
         while n:
             if n & 1:
                 out = out * base
@@ -380,7 +376,7 @@ class FieldElement:
         """-1, 0, or +1 for the real embedding; exact, never float-based."""
         fld = self.field
         p, q, disc = fld._p, fld._q, fld._disc
-        a, b = _tower(self._integral()[1])  # d * self, in integers
+        a, b = _tower(self.num)  # den * self, den > 0
         return _radical_sign(
             _l_sign(a, p, disc),
             _l_sign(b, p, disc),
@@ -389,17 +385,20 @@ class FieldElement:
 
     def to_float(self) -> float:
         """Real embedding within 2**-64 (plus one double rounding)."""
-        cs = self.coeffs
+        den, num = self.den, self.num
         if self.is_zero:
             return 0.0
         # |c_i| < 2**bits and each scaled power is off by < 2**_slack_bits,
-        # so the sum is off by < 2**(bits + 2 + _slack_bits - n) <= 2**-64
+        # so the sum is off by < 2**(bits + 2 + _slack_bits - n) <= 2**-64;
+        # bits reads each coefficient c/den in lowest terms
         bits = max(
-            c.numerator.bit_length() - c.denominator.bit_length() + 1 for c in cs if c
+            (c // g).bit_length() - (den // g).bit_length() + 1
+            for c in num
+            if c
+            for g in (math.gcd(c, den),)
         )
         n = 66 + max(bits, 0) + self.field._slack_bits
-        den, k = self._integral()
-        total = sum(ki * tp for ki, tp in zip(k, self.field._scaled_powers(n)))
+        total = sum(k * tp for k, tp in zip(num, self.field._scaled_powers(n)))
         return total / (den << n)
 
     def __abs__(self) -> "FieldElement":
@@ -433,20 +432,20 @@ def field_sqrt(a: FieldElement) -> Optional[FieldElement]:
         return fld.element(x[0], y[0], x[1], y[1])
 
     candidates: list[FieldElement] = []
-    if big_b == (Fraction(0), Fraction(0)):
+    if big_b == (0, 0):
         h = _l_sqrt(big_a, p, q)
         if h is not None:
-            candidates.append(as_element(h, (Fraction(0), Fraction(0))))
+            candidates.append(as_element(h, (0, 0)))
         h = _l_sqrt(_l_div(big_a, _THETA, p, q), p, q)
         if h is not None:
-            candidates.append(as_element((Fraction(0), Fraction(0)), h))
+            candidates.append(as_element((0, 0), h))
     else:
         r = _l_sqrt(_tower_norm(big_a, big_b, p, q), p, q)
         if r is not None:
             for rr in (r, (-r[0], -r[1])):
                 half = ((big_a[0] + rr[0]) / 2, (big_a[1] + rr[1]) / 2)
                 ca = _l_sqrt(half, p, q)
-                if ca is None or ca == (Fraction(0), Fraction(0)):
+                if ca is None or ca == (0, 0):
                     continue
                 cb = _l_div(big_b, (2 * ca[0], 2 * ca[1]), p, q)
                 candidates.append(as_element(ca, cb))

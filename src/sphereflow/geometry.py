@@ -3,8 +3,10 @@
 Every point carries a float shadow, and every point search (zero-sum
 triples, duplicates, antipodes) finds its candidates on one grid of
 float shadows with cells of side EPSILON.  The mode of the point set
-decides only the confirm test: exact sets confirm each candidate by
-exact arithmetic in the field, float sets within EPSILON.  The
+decides how far the grid is probed and the confirm test: exact sets
+probe the cells within SHADOW_TOLERANCE of the target and confirm each
+candidate by exact arithmetic in the field, float sets probe the cells
+around the target's and confirm within EPSILON.  The
 O(n^3) brute-force triple search is the independent reference the
 tests compare against.  Small-circle intersection is exact only.
 """
@@ -147,39 +149,61 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 _NEIGHBOURHOOD = tuple(itertools.product((-1, 0, 1), repeat=3))
 
 
-def _cell(v: FloatCoords) -> tuple[int, int, int]:
+def _cell(v: FloatCoords, shift: float = 0.0) -> tuple[int, int, int]:
     return (
-        math.floor(v[0] / EPSILON),
-        math.floor(v[1] / EPSILON),
-        math.floor(v[2] / EPSILON),
+        math.floor((v[0] + shift) / EPSILON),
+        math.floor((v[1] + shift) / EPSILON),
+        math.floor((v[2] + shift) / EPSILON),
     )
 
 
-def _shadow_grid(points: Sequence[SpherePoint]) -> Callable[[FloatCoords], list[int]]:
+def _shadow_grid(
+    points: Sequence[SpherePoint],
+) -> Callable[[FloatCoords], Sequence[int]]:
     """Index points by float shadow in cubes of side EPSILON.
 
-    Returns ``near(target)``: the indices in the 27 cells around the
-    target's cell, which include every point within EPSILON of the
-    target in each coordinate.  An exact point's shadow comes from
+    Returns ``near(target)``: the indices in every cell of a box of cells
+    around the target, which holds every point whose shadow is within
+    the box's reach of the target in each coordinate.  For a float set
+    the box is the 27 cells around the target's cell, and the reach is
+    EPSILON.  For an all-exact set the box is the cells that
+    target +- SHADOW_TOLERANCE touches: nearly always one, at most 8.
+    That reach suffices because an exact point's shadow comes from
     to_float, which picks its working precision from the coefficient
     sizes and so stays within 2**-64 of every coordinate plus one
     rounding; every exact zero sum, negation or equality has its shadow
-    a few roundings from its target, far inside one cell, and confirming
-    the candidates exactly misses none of them.
+    a few roundings from its target, and confirming the candidates
+    exactly misses none of them.
     """
     cells: dict[tuple[int, int, int], list[int]] = {}
     for i, p in enumerate(points):
         cells.setdefault(_cell(p.floats), []).append(i)
 
-    def near(target: FloatCoords) -> list[int]:
-        cx, cy, cz = _cell(target)
+    if not all(p.is_exact for p in points):
+
+        def near(target: FloatCoords) -> Sequence[int]:
+            cx, cy, cz = _cell(target)
+            return [
+                i
+                for ox, oy, oz in _NEIGHBOURHOOD
+                for i in cells.get((cx + ox, cy + oy, cz + oz), ())
+            ]
+
+        return near
+
+    def near_exact(target: FloatCoords) -> Sequence[int]:
+        lo, hi = _cell(target, -SHADOW_TOLERANCE), _cell(target, SHADOW_TOLERANCE)
+        if lo == hi:
+            return cells.get(lo, ())
         return [
             i
-            for ox, oy, oz in _NEIGHBOURHOOD
-            for i in cells.get((cx + ox, cy + oy, cz + oz), ())
+            for x in range(lo[0], hi[0] + 1)
+            for y in range(lo[1], hi[1] + 1)
+            for z in range(lo[2], hi[2] + 1)
+            for i in cells.get((x, y, z), ())
         ]
 
-    return near
+    return near_exact
 
 
 def _is_zero_sum(exact: bool, *points: SpherePoint) -> bool:

@@ -7,14 +7,15 @@ successive sets of assumption literals, keeping what it learned, and
 explains each refuted set by the assumptions it used; ``sat_solve`` is
 the one-shot form.  Binary and ternary clauses,
 nearly all of a labeling encoding, are propagated from occurrence
-lists; longer clauses use two watched literals.  On load it drops every
-clause that repeats an earlier one literal for literal, keeping the
-first occurrence: the published direct CNF keeps both mirror copies of
-each triple's clauses, and a mirror triple blocks the same value
-combinations in the same order, so nearly half of it repeats (ce1 at
-k=4 has 10245 distinct clauses of 19765), and a repeat only costs
-visits.  A repeat with its literals permuted stays; it sits after its
-original in every occurrence list, so it never changes propagation.
+lists; longer clauses use two watched literals.  On load it keeps one
+clause per literal set, the first occurrence in its own literal order:
+the published direct CNF keeps both mirror copies of each triple's
+clauses, and a mirror triple blocks the same value combinations in the
+same order, so nearly half of it repeats (ce1 at k=4 has 10245
+distinct clauses of 19765), and a repeat only costs visits.  A repeat
+with its literals permuted goes too: it would list its literals in
+another order, or watch other literals, than its original, which can
+change the order of propagation and so the model.
 The solver is fully deterministic: ties break on variable index and
 nothing is randomized.  Models are re-verified against every clause before being returned.
 UNSAT answers carry no certificate; ``verify --engine both`` re-decides
@@ -186,10 +187,14 @@ class Solver:
         # False once the formula is refuted without any assumption.
         ok = True
         units: list[int] = []
-        # A clause repeated literal for literal is loaded once: the first
-        # occurrence keeps its place in every list, so the lists are those
-        # of the formula without the repeats, and so is the search.
-        for clause in dict.fromkeys(formula.clauses):
+        # A clause is loaded once per literal set: the first occurrence
+        # keeps its place and its literal order in every list, so the lists
+        # are those of the formula without the repeats, and so is the
+        # search.  The keys are sorted tuples, far smaller than frozensets.
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for clause in formula.clauses:
+            first.setdefault(tuple(sorted(set(clause))), clause)
+        for clause in first.values():
             lits = list(dict.fromkeys(clause))
             if any(-lit in clause for lit in lits):
                 continue

@@ -1,5 +1,7 @@
-"""Exact quartic field arithmetic: axioms, embeddings, square roots."""
+"""Exact quartic field arithmetic: axioms, the integer representation,
+embeddings, square roots."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +225,69 @@ def test_float_embedding_respects_product(a, b):
 @given(f2_elements())
 def test_serialization_round_trip(a):
     assert parse_element(serialize_element(a), F2) == a
+
+
+# -- the integer representation ---------------------------------------------
+
+FIELDS = (F1, F2, QuarticField((1, 0, -10, 0, 1)))
+
+coefficient_tuples = st.tuples(*(small_rationals,) * 4)
+
+
+def reference_product(x, y, fld):
+    """Fraction coefficients of x*y: the degree-6 product, then each t^d
+    for d = 6, 5, 4 rewritten as t^(d-4) (-q - p t^2)."""
+    q, _, p, _, _ = fld.minimal_polynomial
+    prod = [Fraction(0)] * 7
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += Fraction(a) * Fraction(b)
+    for d in (6, 5, 4):
+        c, prod[d] = prod[d], Fraction(0)
+        prod[d - 4] -= q * c
+        prod[d - 2] -= p * c
+    return tuple(prod[:4])
+
+
+@given(st.sampled_from(FIELDS), coefficient_tuples, coefficient_tuples)
+def test_ring_operations_match_a_fraction_reference(fld, x, y):
+    a, b = fld.element(*x), fld.element(*y)
+    assert (a + b).coeffs == tuple(u + v for u, v in zip(x, y))
+    assert (a - b).coeffs == tuple(u - v for u, v in zip(x, y))
+    assert (-a).coeffs == tuple(-u for u in x)
+    assert (a * b).coeffs == reference_product(x, y, fld)
+
+
+@given(st.sampled_from(FIELDS), coefficient_tuples, st.integers(1, 60))
+def test_equal_values_share_one_representation(fld, x, k):
+    a = fld.element(*x)
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert a.coeffs == tuple(Fraction(c) for c in x)
+    # the same value reached through other denominators
+    inv_k = Fraction(1, k)
+    for b in (a * k * fld.element(inv_k), a + fld.element(inv_k) - inv_k):
+        assert (b.den, b.num) == (a.den, a.num)
+        assert b == a and hash(b) == hash(a)
+    zero = a - a
+    assert (zero.den, zero.num) == (1, (0, 0, 0, 0)) == (fld.zero.den, fld.zero.num)
+    assert hash(zero) == hash(fld.zero)
+
+
+def test_elements_are_kept_in_lowest_terms():
+    a = FieldElement(F1, -12, (6, 0, -9, 3))
+    assert (a.den, a.num) == (4, (-2, 0, 3, -1))
+    assert a.coeffs == (Fraction(-1, 2), 0, Fraction(3, 4), Fraction(-1, 4))
+    assert (F2.element(Fraction(0, 7)).den, F2.element().num) == (1, (0, 0, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(F1, 0, (1, 0, 0, 0))
+
+
+def test_serialization_text_is_the_reduced_coefficients():
+    a = F1.element(Fraction(2, 4), 0, Fraction(-6, 8), 2)
+    assert serialize_element(a) == "1/2,0/1,-3/4,2/1"
+    assert serialize_element(a * 4) == "2/1,0/1,-3/1,8/1"
+    assert serialize_element(F2.zero) == "0/1,0/1,0/1,0/1"
 
 
 # -- square roots -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sphereflow.field import F1
 from sphereflow.geometry import (
     EPSILON,
+    SHADOW_TOLERANCE,
     PointSet,
     SpherePoint,
     components,
@@ -19,6 +21,7 @@ from sphereflow.geometry import (
     exact_dot,
     find_zero_sum_triples,
     find_zero_sum_triples_brute,
+    _shadow_grid,
 )
 from sphereflow.quotient import antipode_map
 
@@ -211,6 +214,47 @@ def test_searches_reach_past_the_target_cell():
         )
     )
     assert find_zero_sum_triples(triple) == ((0, 1, 2),)
+
+
+def _within(points, target, reach):
+    return {
+        i
+        for i, p in enumerate(points)
+        if all(abs(v - w) <= reach for v, w in zip(p.floats, target))
+    }
+
+
+def _cells(values):
+    return {math.floor(v / EPSILON) for v in values}
+
+
+def test_shadow_grid_reaches_across_a_cell_edge(icosi):
+    """Targets whose probe box straddles a cell edge get every point
+    within reach: SHADOW_TOLERANCE for an exact set, EPSILON for a
+    float set."""
+    # icosi's axis points have shadow coordinates 0.0, on the edge between
+    # cells -1 and 0; a target 1e-13 below it lies in cell -1
+    near = _shadow_grid(icosi.points)
+    straddled = 0
+    for i, p in enumerate(icosi.points[:6]):
+        for shift in itertools.product((-1e-13, 0.0, 1e-13), repeat=3):
+            target = tuple(v + d for v, d in zip(p.floats, shift))
+            got = near(target)
+            assert _within(icosi.points, target, SHADOW_TOLERANCE) == {i}
+            assert i in got
+            straddled += _cells(target) != _cells(p.floats)
+    assert straddled > 0
+    # a float cloud scattered within 2 EPSILON of a target beside an edge
+    rng = random.Random(3)
+    edge = math.floor(0.5 / EPSILON) * EPSILON
+    target = (edge - 0.3 * EPSILON, edge + 0.2 * EPSILON, 0.7)
+    cloud = tuple(
+        SpherePoint.from_floats(*(v + rng.uniform(-2, 2) * EPSILON for v in target))
+        for _ in range(300)
+    )
+    reached = _within(cloud, target, EPSILON)
+    assert len(_cells(cloud[i].floats[0] for i in reached)) > 1
+    assert reached <= set(_shadow_grid(cloud)(target))
 
 
 def test_dedup_points_rejects_mixed_modes(icosi):

@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphereflow.constructions as constructions
@@ -254,6 +254,8 @@ def test_assumptions_cores_and_successive_solves(seed, wide):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@example(seed=66)
+@example(seed=62009)
 def test_repeated_clauses_leave_every_answer_unchanged(seed):
     """Repeats of binary and ternary clauses, literals permuted, placed
     anywhere after their originals, give the same answers, models and
