@@ -27,13 +27,15 @@ from .geometry import (
     PointSet,
     SpherePoint,
     Triple,
+    antipode_map,
+    components,
     dedup_points,
     exact_dot,
     find_zero_sum_triples,
     small_circle_intersection,
 )
 from .flows import FlowInstance, class_refuter, decide_labeling
-from .quotient import antipode_map, components, quotient_antipodal
+from .quotient import quotient_antipodal
 from .solver import sat_solve as sat_solve_cdcl
 
 

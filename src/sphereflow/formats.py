@@ -183,7 +183,10 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
                     raise DocumentError(
                         f"point {i} float shadow {s} is off its exact value"
                     )
-            pts.append(SpherePoint.from_exact(coords))
+            try:
+                pts.append(SpherePoint.from_exact(coords))
+            except ValueError as exc:
+                raise DocumentError(f"point {i}: {exc}") from None
     ps = PointSet(points=tuple(pts), triples=doc.triples)
     for t in ps.triples:
         if not _is_zero_sum(exact, *(ps.points[i] for i in t)):

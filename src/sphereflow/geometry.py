@@ -1,19 +1,18 @@
 """Unit-sphere geometry over exact field coordinates or plain floats.
 
 Every point carries a float shadow, and every point search (zero-sum
-triples, duplicates, antipodes) finds its candidates on one grid of
-float shadows with cells of side EPSILON.  The mode of the point set
-decides how far the grid is probed and the confirm test: exact sets
-probe the cells within SHADOW_TOLERANCE of the target and confirm each
-candidate by exact arithmetic in the field, float sets probe the cells
-around the target's and confirm within EPSILON.  The
-O(n^3) brute-force triple search is the independent reference the
-tests compare against.  Small-circle intersection is exact only.
+triples, duplicates, antipodes) finds its candidates with one probe of
+one grid of float shadows.  The mode of the point set, which each
+search reads once, sets the probe's reach and the confirm test: exact
+sets reach SHADOW_TOLERANCE around the target and confirm each
+candidate by exact arithmetic in the field, float sets reach EPSILON
+and confirm within EPSILON.  The O(n^3) brute-force triple search is
+the independent reference the tests compare against.  Small-circle
+intersection is exact only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,12 @@ class ExactnessError(ValueError):
     """Raised when an exact computation would have to leave the field."""
 
 
-# The tolerance of every float comparison and the side of a shadow-grid cell.
+class StructureError(ValueError):
+    """A combinatorial invariant of a point set or its quotient failed."""
+
+
+# The tolerance of every float comparison and the reach of a float set's
+# shadow-grid probe.
 EPSILON = 1e-7
 # How far a float may sit from the exact value it stands for: a stored
 # shadow from its coordinate, a survey float from an earlier candidate, a
@@ -146,53 +150,42 @@ def exact_dot(p: SpherePoint, q: SpherePoint) -> FieldElement:
 # the shadow grid
 # ---------------------------------------------------------------------------
 
-_NEIGHBOURHOOD = tuple(itertools.product((-1, 0, 1), repeat=3))
+# Cells are twice the float reach wide, so a float probe touches at most
+# 8 cells and an exact probe nearly always 1.
+_CELL_SIDE = 2 * EPSILON
 
 
 def _cell(v: FloatCoords, shift: float = 0.0) -> tuple[int, int, int]:
     return (
-        math.floor((v[0] + shift) / EPSILON),
-        math.floor((v[1] + shift) / EPSILON),
-        math.floor((v[2] + shift) / EPSILON),
+        math.floor((v[0] + shift) / _CELL_SIDE),
+        math.floor((v[1] + shift) / _CELL_SIDE),
+        math.floor((v[2] + shift) / _CELL_SIDE),
     )
 
 
 def _shadow_grid(
-    points: Sequence[SpherePoint],
+    points: Sequence[SpherePoint], exact: bool
 ) -> Callable[[FloatCoords], Sequence[int]]:
-    """Index points by float shadow in cubes of side EPSILON.
+    """Index points by float shadow in cubes of side 2*EPSILON.
 
-    Returns ``near(target)``: the indices in every cell of a box of cells
-    around the target, which holds every point whose shadow is within
-    the box's reach of the target in each coordinate.  For a float set
-    the box is the 27 cells around the target's cell, and the reach is
-    EPSILON.  For an all-exact set the box is the cells that
-    target +- SHADOW_TOLERANCE touches: nearly always one, at most 8.
-    That reach suffices because an exact point's shadow comes from
-    to_float, which picks its working precision from the coefficient
-    sizes and so stays within 2**-64 of every coordinate plus one
-    rounding; every exact zero sum, negation or equality has its shadow
-    a few roundings from its target, and confirming the candidates
-    exactly misses none of them.
+    Returns ``near(target)``: the indices in every cell that
+    target +- reach touches, which holds every point whose shadow is
+    within reach of the target in each coordinate.  The reach is EPSILON
+    for a float set and SHADOW_TOLERANCE for an all-exact set.  That
+    reach suffices because an exact point's shadow comes from to_float,
+    which picks its working precision from the coefficient sizes and so
+    stays within 2**-64 of every coordinate plus one rounding; every
+    exact zero sum, negation or equality has its shadow a few roundings
+    from its target, and confirming the candidates exactly misses none
+    of them.
     """
+    reach = SHADOW_TOLERANCE if exact else EPSILON
     cells: dict[tuple[int, int, int], list[int]] = {}
     for i, p in enumerate(points):
         cells.setdefault(_cell(p.floats), []).append(i)
 
-    if not all(p.is_exact for p in points):
-
-        def near(target: FloatCoords) -> Sequence[int]:
-            cx, cy, cz = _cell(target)
-            return [
-                i
-                for ox, oy, oz in _NEIGHBOURHOOD
-                for i in cells.get((cx + ox, cy + oy, cz + oz), ())
-            ]
-
-        return near
-
-    def near_exact(target: FloatCoords) -> Sequence[int]:
-        lo, hi = _cell(target, -SHADOW_TOLERANCE), _cell(target, SHADOW_TOLERANCE)
+    def near(target: FloatCoords) -> Sequence[int]:
+        lo, hi = _cell(target, -reach), _cell(target, reach)
         if lo == hi:
             return cells.get(lo, ())
         return [
@@ -203,7 +196,7 @@ def _shadow_grid(
             for i in cells.get((x, y, z), ())
         ]
 
-    return near_exact
+    return near
 
 
 def _is_zero_sum(exact: bool, *points: SpherePoint) -> bool:
@@ -231,7 +224,7 @@ def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
     """
     pts = ps.points
     exact = ps.all_exact
-    near = _shadow_grid(pts)
+    near = _shadow_grid(pts, exact)
     if exact:
         for i, p in enumerate(pts):
             for j in near(p.floats):
@@ -370,7 +363,7 @@ def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
         d2 = sum((x - y) ** 2 for x, y in zip(p.floats, q.floats))
         return d2 <= EPSILON * EPSILON
 
-    near = _shadow_grid(raw)
+    near = _shadow_grid(raw, exact)
     duplicates = [
         (j, i)
         for i, p in enumerate(raw)
@@ -379,3 +372,26 @@ def dedup_points(raw: Sequence[SpherePoint]) -> PointSet:
     ]
     classes = components(range(len(raw)), duplicates)
     return PointSet(tuple(raw[c[0]] for c in classes))
+
+
+def antipode_map(ps: PointSet) -> dict[int, int]:
+    """Map each point index to the smallest index of its antipode.
+
+    Candidates come from the shadow grid around the negated shadow, and
+    ``_is_zero_sum`` confirms each: in the field for an exact set,
+    within EPSILON per coordinate for a float set.  Raises
+    StructureError when a point has none.
+    """
+    exact = ps.all_exact
+    near = _shadow_grid(ps.points, exact)
+    out = {}
+    for i, p in enumerate(ps.points):
+        hits = [
+            j
+            for j in near(tuple(-v for v in p.floats))
+            if _is_zero_sum(exact, p, ps.points[j])
+        ]
+        if not hits:
+            raise StructureError(f"point {i} has no antipode in the set")
+        out[i] = min(hits)
+    return out

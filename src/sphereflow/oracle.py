@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .quotient import OrientedMember, OrientedTriple, components
+from .geometry import components
+from .quotient import OrientedMember, OrientedTriple
 
 __all__ = ["CspProblem", "csp_solve"]
 

@@ -15,8 +15,8 @@ from .geometry import (
     EPSILON,
     PointSet,
     SpherePoint,
-    _is_zero_sum,
-    _shadow_grid,
+    StructureError,
+    antipode_map,
     components,
 )
 
@@ -24,19 +24,13 @@ __all__ = [
     "AntipodalQuotient",
     "QuotientGraph",
     "StructureError",
-    "antipode_map",
     "classify_edge_orbits",
-    "components",
     "extract_cubic_graph",
     "is_isomorphic_to",
     "moebius_ladder_10",
     "petersen_graph",
     "quotient_antipodal",
 ]
-
-
-class StructureError(ValueError):
-    """A combinatorial invariant of the quotient structure failed."""
 
 
 OrientedMember = tuple[int, int]
@@ -75,29 +69,6 @@ class AntipodalQuotient:
     def reps_of_class(self, class_id: int) -> tuple[int, int, int]:
         (r1, _), (r2, _), (r3, _) = self.class_triples[class_id]
         return (r1, r2, r3)
-
-
-def antipode_map(ps: PointSet) -> dict[int, int]:
-    """Map each point index to the smallest index of its antipode.
-
-    Candidates come from the shadow grid around the negated shadow, and
-    ``_is_zero_sum`` confirms each: in the field for an exact set,
-    within EPSILON per coordinate for a float set.  Raises
-    StructureError when a point has none.
-    """
-    exact = ps.all_exact
-    near = _shadow_grid(ps.points)
-    out = {}
-    for i, p in enumerate(ps.points):
-        hits = [
-            j
-            for j in near(tuple(-v for v in p.floats))
-            if _is_zero_sum(exact, p, ps.points[j])
-        ]
-        if not hits:
-            raise StructureError(f"point {i} has no antipode in the set")
-        out[i] = min(hits)
-    return out
 
 
 def _points_positively_oriented(p: SpherePoint) -> bool:
@@ -255,10 +226,6 @@ def is_isomorphic_to(g: QuotientGraph, reference: QuotientGraph) -> bool:
         raise ValueError("isomorphism check is limited to 12 vertices")
     adj_g = g.adjacency()
     adj_r = reference.adjacency()
-    deg_g = sorted(len(nb) for nb in adj_g.values())
-    deg_r = sorted(len(nb) for nb in adj_r.values())
-    if deg_g != deg_r:
-        return False
     gs = list(adj_g)
     rs = list(adj_r)
 
@@ -269,16 +236,9 @@ def is_isomorphic_to(g: QuotientGraph, reference: QuotientGraph) -> bool:
         for w in rs:
             if w in used or len(adj_g[v]) != len(adj_r[w]):
                 continue
-            ok = True
-            for u in adj_g[v]:
-                if u in mapping and mapping[u] not in adj_r[w]:
-                    ok = False
-                    break
-            for u, mu in mapping.items():
-                if u not in adj_g[v] and mu in adj_r[w]:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                (u in adj_g[v]) == (mu in adj_r[w]) for u, mu in mapping.items()
+            ):
                 mapping[v] = w
                 used.add(w)
                 if extend(mapping, used):
@@ -300,11 +260,9 @@ class EdgeOrbitPartition:
 
 
 def _is_perfect_matching(graph: QuotientGraph, reps: Iterable[int]) -> bool:
-    chosen = [e for e in graph.edges if e[2] in set(reps)]
-    covered: list[int] = []
-    for a, b, _ in chosen:
-        covered.extend((a, b))
-    return sorted(covered) == sorted(graph.vertices)
+    shared = set(reps)
+    covered = sorted(v for a, b, r in graph.edges if r in shared for v in (a, b))
+    return covered == sorted(graph.vertices)
 
 
 def classify_edge_orbits(
@@ -324,9 +282,8 @@ def classify_edge_orbits(
         for cid in range(q.n_classes)
         if all(r < n_old_reps for r in q.reps_of_class(cid))
     ]
-    new_classes = [
-        cid for cid in range(q.n_classes) if cid not in set(old_classes)
-    ]
+    old = set(old_classes)
+    new_classes = [cid for cid in range(q.n_classes) if cid not in old]
     in_old: set[int] = set()
     for cid in old_classes:
         in_old.update(q.reps_of_class(cid))

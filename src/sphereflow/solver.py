@@ -389,7 +389,6 @@ class Solver:
                 phase[var] = lit > 0
                 val[lit] = 0
                 val[-lit] = 0
-                reason[var] = ()
             del trail[mark:]
             del trail_lim[to_level:]
 

@@ -352,6 +352,21 @@ def test_malformed_document_is_a_one_line_error(
     _assert_one_line_error(main(["verify", path, "-k", "3"]), capsys)
 
 
+def test_off_sphere_exact_point_is_named(icosi_doc, tmp_path, capsys):
+    """An exact point off the unit sphere is reported with its index, as
+    an off-sphere float point is."""
+    with open(icosi_doc) as fh:
+        doc = json.load(fh)
+    one, zero = "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"
+    doc["points"][3] = {"exact": [one, one, zero], "floats": [1.0, 1.0, 0.0]}
+    path = str(tmp_path / "off_sphere.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", path, "-k", "3"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: point 3: exact point is not on the unit sphere\n"
+
+
 def _fractional(values):
     # int() truncates each of these back to the stored value
     return [v + (0.5 if v > 0 else -0.5) for v in values]

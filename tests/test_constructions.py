@@ -26,8 +26,12 @@ from sphereflow.constructions import (
     unsat_preserving_prune,
 )
 from sphereflow.field import F1, F2
-from sphereflow.geometry import PointSet, SpherePoint, find_zero_sum_triples
-from sphereflow.quotient import antipode_map
+from sphereflow.geometry import (
+    PointSet,
+    SpherePoint,
+    antipode_map,
+    find_zero_sum_triples,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ from sphereflow.geometry import (
     SHADOW_TOLERANCE,
     PointSet,
     SpherePoint,
+    antipode_map,
     components,
     dedup_points,
     exact_dot,
     find_zero_sum_triples,
     find_zero_sum_triples_brute,
+    _CELL_SIDE,
     _shadow_grid,
 )
-from sphereflow.quotient import antipode_map
 
 
 def _random_unit(rng: random.Random) -> tuple[float, float, float]:
@@ -196,9 +197,9 @@ def test_dedup_points_exact_and_shadows_keep_the_same_points(icosi):
 def test_searches_reach_past_the_target_cell():
     """Matches within EPSILON whose float shadows straddle a grid cell
     boundary are found by all three searches."""
-    edge = math.floor(0.5 / EPSILON) * EPSILON  # a cell boundary
+    edge = math.floor(0.5 / _CELL_SIDE) * _CELL_SIDE  # a cell boundary
     below, above = edge - 0.3 * EPSILON, edge + 0.3 * EPSILON
-    assert math.floor(below / EPSILON) != math.floor(above / EPSILON)
+    assert math.floor(below / _CELL_SIDE) != math.floor(above / _CELL_SIDE)
     dup = (
         SpherePoint.from_floats(below, 0.6, 0.8),
         SpherePoint.from_floats(above, 0.6, 0.8),
@@ -225,7 +226,7 @@ def _within(points, target, reach):
 
 
 def _cells(values):
-    return {math.floor(v / EPSILON) for v in values}
+    return {math.floor(v / _CELL_SIDE) for v in values}
 
 
 def test_shadow_grid_reaches_across_a_cell_edge(icosi):
@@ -234,7 +235,7 @@ def test_shadow_grid_reaches_across_a_cell_edge(icosi):
     float set."""
     # icosi's axis points have shadow coordinates 0.0, on the edge between
     # cells -1 and 0; a target 1e-13 below it lies in cell -1
-    near = _shadow_grid(icosi.points)
+    near = _shadow_grid(icosi.points, True)
     straddled = 0
     for i, p in enumerate(icosi.points[:6]):
         for shift in itertools.product((-1e-13, 0.0, 1e-13), repeat=3):
@@ -246,7 +247,7 @@ def test_shadow_grid_reaches_across_a_cell_edge(icosi):
     assert straddled > 0
     # a float cloud scattered within 2 EPSILON of a target beside an edge
     rng = random.Random(3)
-    edge = math.floor(0.5 / EPSILON) * EPSILON
+    edge = math.floor(0.5 / _CELL_SIDE) * _CELL_SIDE
     target = (edge - 0.3 * EPSILON, edge + 0.2 * EPSILON, 0.7)
     cloud = tuple(
         SpherePoint.from_floats(*(v + rng.uniform(-2, 2) * EPSILON for v in target))
@@ -254,7 +255,7 @@ def test_shadow_grid_reaches_across_a_cell_edge(icosi):
     )
     reached = _within(cloud, target, EPSILON)
     assert len(_cells(cloud[i].floats[0] for i in reached)) > 1
-    assert reached <= set(_shadow_grid(cloud)(target))
+    assert reached <= set(_shadow_grid(cloud, False)(target))
 
 
 def test_dedup_points_rejects_mixed_modes(icosi):

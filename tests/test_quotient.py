@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphereflow.field import F1
-from sphereflow.geometry import PointSet, SpherePoint
+from sphereflow.geometry import PointSet, SpherePoint, antipode_map
 from sphereflow.quotient import (
     QuotientGraph,
     StructureError,
-    antipode_map,
     classify_edge_orbits,
     extract_cubic_graph,
     is_isomorphic_to,
