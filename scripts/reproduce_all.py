@@ -9,9 +9,10 @@ on the first mismatch.
 Usage (from the repository root):
     PYTHONPATH=src python3 scripts/reproduce_all.py
 
-On a shared 2-vCPU machine under CPython 3.11.7 the run takes 7.1-7.7 s,
-of which the 50-point expansion's prune takes about 2.6-2.8 s and the
-second construction's search-and-prune about 2.2-2.3 s.
+On a shared 2-vCPU machine under CPython 3.11.7 the run takes 4.8-8.5 s,
+as the machine's load varies, of which the 50-point expansion's prune
+takes about 1.8-2.5 s and the second construction's search-and-prune
+about 1.8-2.4 s.
 """
 
 from __future__ import annotations

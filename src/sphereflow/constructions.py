@@ -65,7 +65,7 @@ SQRT3 = F2.t**2 + 1
 def build_icosidodecahedron() -> PointSet:
     """All even permutations of (0,0,+-1) and (+-(phi-1)/2, +-1/2, +-phi/2)."""
     zero, one = F1.zero, F1.one
-    half = F1.from_rational(Fraction(1, 2))
+    half = F1.element(Fraction(1, 2))
     a = (GOLDEN_RATIO - 1) / 2
     c = GOLDEN_RATIO / 2
     bases: list[tuple[FieldElement, FieldElement, FieldElement]] = [
@@ -468,7 +468,7 @@ def final_coordinate_values() -> tuple[FieldElement, ...]:
     """
     t = F2.t
     one = F2.one
-    half = F2.from_rational(Fraction(1, 2))
+    half = F2.element(Fraction(1, 2))
     return (
         F2.zero,
         (one - t * t) * half,

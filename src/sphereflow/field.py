@@ -8,7 +8,8 @@ Each field is a tower of two quadratic steps, Q < Q(theta) < Q(t): theta
 is the larger root of theta^2 + p theta + q = 0 and t = sqrt(theta) > 0
 is the largest real root of the minimal polynomial, so den times an
 element is A + B t with A = n0 + n2 theta and B = n1 + n3 theta.  Signs
-compare squares one step at a time, inverses multiply by the conjugate
+compare squares one step at a time, a square root takes the same
+quadratic step at both levels, inverses multiply by the conjugate
 A - B t, and float embeddings come from integer square roots at a
 precision chosen from the coefficients, so no comparison ever depends
 on floating-point luck.  Fields and elements never change once built.
@@ -89,9 +90,7 @@ def _radical_sign(sx: int, sy: int, gap: Callable[[], int]) -> int:
 # the quadratic subfield Q(theta), theta^2 + p theta + q = 0
 # ---------------------------------------------------------------------------
 
-_LPair = tuple[RationalLike, RationalLike]  # u0 + u1*theta
-
-_THETA: _LPair = (0, 1)
+_LPair = tuple[int, int]  # u0 + u1*theta
 
 
 def _l_mul(x: _LPair, y: _LPair, p: int, q: int) -> _LPair:
@@ -99,16 +98,6 @@ def _l_mul(x: _LPair, y: _LPair, p: int, q: int) -> _LPair:
         x[0] * y[0] - q * x[1] * y[1],
         x[0] * y[1] + x[1] * y[0] - p * x[1] * y[1],
     )
-
-
-def _l_div(x: _LPair, y: _LPair, p: int, q: int) -> _LPair:
-    conj = (y[0] - p * y[1], -y[1])
-    norm = _l_mul(y, conj, p, q)
-    assert norm[1] == 0
-    if norm[0] == 0:
-        raise ZeroDivisionError("division by zero in quadratic subfield")
-    num = _l_mul(x, conj, p, q)
-    return (num[0] / norm[0], num[1] / norm[0])
 
 
 def _l_sign(u: _LPair, p: int, disc: int) -> int:
@@ -120,44 +109,13 @@ def _l_sign(u: _LPair, p: int, disc: int) -> int:
 def _tower_norm(a: _LPair, b: _LPair, p: int, q: int) -> _LPair:
     """A^2 - B^2 theta, the norm of A + B t down to Q(theta)."""
     a2 = _l_mul(a, a, p, q)
-    b2 = _l_mul(_l_mul(b, b, p, q), _THETA, p, q)
+    b2 = _l_mul(_l_mul(b, b, p, q), (0, 1), p, q)  # B^2 theta
     return (a2[0] - b2[0], a2[1] - b2[1])
 
 
-def _tower(c: Sequence[RationalLike]) -> tuple[_LPair, _LPair]:
+def _tower(c: Sequence[int]) -> tuple[_LPair, _LPair]:
     """(A, B) with sum c_i t^i = A + B t, both in Q(theta)."""
     return (c[0], c[2]), (c[1], c[3])
-
-
-def _l_sqrt(g: _LPair, p: int, q: int) -> Optional[_LPair]:
-    """A square root of g in Q(theta), or None."""
-    disc = p * p - 4 * q  # theta = (-p + sqrt(disc))/2, sqrt(disc) = 2*theta + p
-    a = g[0] - g[1] * p / 2
-    b = g[1] / 2  # g = a + b*sqrt(disc)
-    if b == 0:
-        r = rational_sqrt(a)
-        if r is not None:
-            return (r, Fraction(0))
-        r = rational_sqrt(a / disc)
-        if r is not None:
-            # r*sqrt(disc) = r*p + 2r*theta
-            return (r * p, 2 * r)
-        return None
-    n = a * a - b * b * disc
-    s = rational_sqrt(n)
-    if s is None:
-        return None
-    for ss in (s, -s):
-        alpha2 = (a + ss) / 2
-        if alpha2 < 0:
-            continue
-        alpha = rational_sqrt(alpha2)
-        if alpha is None or alpha == 0:
-            continue
-        beta = b / (2 * alpha)
-        if alpha * alpha + beta * beta * disc == a and 2 * alpha * beta == b:
-            return (alpha + beta * p, 2 * beta)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +183,6 @@ class QuarticField:
         den = math.lcm(*(c.denominator for c in cs))
         num = [c.numerator * (den // c.denominator) for c in cs]
         return FieldElement(self, den, num + [0] * (4 - len(cs)))
-
-    def from_rational(self, r: RationalLike) -> "FieldElement":
-        return self.element(r)
 
     # -- real embedding ------------------------------------------------------
 
@@ -414,45 +369,74 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
+def _quadratic_sqrt(
+    x: FieldElement,
+    y: FieldElement,
+    d: FieldElement,
+    root_d: FieldElement,
+    base_sqrt: Callable[[FieldElement], Optional[FieldElement]],
+) -> Optional[FieldElement]:
+    """A square root of x + y root_d, where root_d^2 = d, or None.
+
+    x, y and d lie in a subfield where base_sqrt finds a root of every
+    square, and root_d is not in it.  A root alpha + beta root_d has
+    x = alpha^2 + beta^2 d and y = 2 alpha beta, and its norm
+    alpha^2 - beta^2 d squares to x^2 - y^2 d.  So w = 2 alpha^2 is
+    x + s for one of the two roots s of that norm, and the root is
+    (w + y root_d) / sqrt(2 w).
+    """
+    if y.is_zero:  # the root is alpha or beta root_d
+        alpha = base_sqrt(x)
+        if alpha is not None:
+            return alpha
+        beta = base_sqrt(x / d)
+        return None if beta is None else beta * root_d
+    s = base_sqrt(x * x - y * y * d)
+    if s is None:
+        return None
+    for w in (x + s, x - s):
+        two_alpha = base_sqrt(w + w)  # nonzero: w = 0 only when y = 0
+        if two_alpha is not None:
+            return (w + y * root_d) / two_alpha
+    return None
+
+
 def field_sqrt(a: FieldElement) -> Optional[FieldElement]:
     """The non-negative square root of a in its own field, or None.
 
     Complete: if a root exists in the field, it is found; None is a proof
-    of non-membership, not a give-up.
+    of non-membership, not a give-up.  One _quadratic_sqrt step finds it
+    over Q(theta), with root_d = t, and the same step over Q finds each
+    root in Q(theta), with root_d = 2 theta + p = sqrt(disc).
     """
     fld = a.field
     if a.is_zero:
         return fld.zero
     if a.sign() < 0:
         return None
-    p, q = fld._p, fld._q
-    big_a, big_b = _tower(a.coeffs)
+    disc = FieldElement(fld, 1, (fld._disc, 0, 0, 0))
+    sqrt_disc = FieldElement(fld, 1, (fld._p, 0, 2, 0))
 
-    def as_element(x: _LPair, y: _LPair) -> FieldElement:
-        return fld.element(x[0], y[0], x[1], y[1])
+    def rational_root(x: FieldElement) -> Optional[FieldElement]:
+        r = rational_sqrt(Fraction(x.num[0], x.den))
+        return None if r is None else fld.element(r)
 
-    candidates: list[FieldElement] = []
-    if big_b == (0, 0):
-        h = _l_sqrt(big_a, p, q)
-        if h is not None:
-            candidates.append(as_element(h, (0, 0)))
-        h = _l_sqrt(_l_div(big_a, _THETA, p, q), p, q)
-        if h is not None:
-            candidates.append(as_element((0, 0), h))
-    else:
-        r = _l_sqrt(_tower_norm(big_a, big_b, p, q), p, q)
-        if r is not None:
-            for rr in (r, (-r[0], -r[1])):
-                half = ((big_a[0] + rr[0]) / 2, (big_a[1] + rr[1]) / 2)
-                ca = _l_sqrt(half, p, q)
-                if ca is None or ca == (0, 0):
-                    continue
-                cb = _l_div(big_b, (2 * ca[0], 2 * ca[1]), p, q)
-                candidates.append(as_element(ca, cb))
-    for e in candidates:
-        if e * e == a:
-            return -e if e.sign() < 0 else e
-    return None
+    def theta_root(u: FieldElement) -> Optional[FieldElement]:
+        # u = (n0 + n2 theta)/den = x + y sqrt(disc), as 2 theta = sqrt(disc) - p
+        n0, n2, den = u.num[0], u.num[2], u.den
+        x = FieldElement(fld, 2 * den, (2 * n0 - fld._p * n2, 0, 0, 0))
+        y = FieldElement(fld, 2 * den, (n2, 0, 0, 0))
+        return _quadratic_sqrt(x, y, disc, sqrt_disc, rational_root)
+
+    n0, n1, n2, n3 = a.num  # den a = A + B t, A and B in Q(theta), theta = t^2
+    big_a = FieldElement(fld, a.den, (n0, 0, n2, 0))
+    big_b = FieldElement(fld, a.den, (n1, 0, n3, 0))
+    root = _quadratic_sqrt(big_a, big_b, fld.t * fld.t, fld.t, theta_root)
+    if root is None:
+        return None
+    root = -root if root.sign() < 0 else root
+    assert root * root == a, "square-root self-check failed"
+    return root
 
 
 # ---------------------------------------------------------------------------

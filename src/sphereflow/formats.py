@@ -135,7 +135,7 @@ def document_from_pointset(
             "floats": [c * scale for c in p.floats],
         }
         if field_tag != "float":
-            r = p.exact[0].field.from_rational(radius)
+            r = p.exact[0].field.element(radius)
             entry["exact"] = [serialize_element(c * r) for c in p.exact]
         points.append(entry)
     return PointSetDocument(
@@ -170,23 +170,22 @@ def pointset_from_document(doc: PointSetDocument) -> PointSet:
         field = FIELD_BY_TAG.get(doc.field_tag)
         if field is None:
             raise DocumentError(f"unknown field tag {doc.field_tag!r}")
-        inv = field.from_rational(Fraction(1) / doc.radius)
+        inv = field.element(Fraction(1) / doc.radius)
         for i, entry in enumerate(doc.points):
             exact_coords = _coordinates(entry, i, "exact", str)
             shadows = _float_shadows(entry, i)
             try:
-                coords = tuple(parse_element(s, field) * inv for s in exact_coords)
+                p = SpherePoint.from_exact(
+                    tuple(parse_element(s, field) * inv for s in exact_coords)
+                )
             except ValueError as exc:
                 raise DocumentError(f"point {i}: {exc}") from None
-            for c, s in zip(coords, shadows):
-                if abs(c.to_float() * float(doc.radius) - s) > SHADOW_TOLERANCE:
+            for c, s in zip(p.floats, shadows):
+                if abs(c * float(doc.radius) - s) > SHADOW_TOLERANCE:
                     raise DocumentError(
                         f"point {i} float shadow {s} is off its exact value"
                     )
-            try:
-                pts.append(SpherePoint.from_exact(coords))
-            except ValueError as exc:
-                raise DocumentError(f"point {i}: {exc}") from None
+            pts.append(p)
     ps = PointSet(points=tuple(pts), triples=doc.triples)
     for t in ps.triples:
         if not _is_zero_sum(exact, *(ps.points[i] for i in t)):

@@ -294,7 +294,7 @@ def small_circle_intersection(
     one = c.field.one
     if c == one or c == -one:
         raise DegenerateConfigurationError("small circles around parallel points")
-    alpha = c.field.from_rational(Fraction(height)) / (one + c)
+    alpha = c.field.element(Fraction(height)) / (one + c)
     # |x|^2 = 2 alpha^2 (1+c) + gamma^2 (1-c^2) = 1
     gamma2 = (one - 2 * alpha * alpha * (one + c)) / (one - c * c)
     s = gamma2.sign()

@@ -120,13 +120,13 @@ def radius2_integer_decomposition(e):
     a, b, cc, d = c0 - c2, 2 * c2, (5 * c3 - c1) / 2, c1
     if any(v.denominator != 1 for v in (a, b, cc, d)):
         return None
-    assert F1.from_rational(a) + b * GOLDEN_RATIO + cc * X_UNIT + d * Y_UNIT == e
+    assert F1.element(a) + b * GOLDEN_RATIO + cc * X_UNIT + d * Y_UNIT == e
     return (int(a), int(b), int(cc), int(d))
 
 
 def test_radius2_decomposition_on_first_expansion(ce1):
     # doubled coordinates decompose integrally over (1, phi, x, y)
-    two = F1.from_rational(2)
+    two = F1.element(2)
     for p in ce1.points:
         for c in p.exact:
             coeffs = radius2_integer_decomposition(two * c)
@@ -136,7 +136,7 @@ def test_radius2_decomposition_on_first_expansion(ce1):
 
 
 def test_radius2_decomposition_rejects_non_integral():
-    half = F1.from_rational(Fraction(1, 2))
+    half = F1.element(Fraction(1, 2))
     assert radius2_integer_decomposition(half) is None
     assert radius2_integer_decomposition(F1.one) == (1, 0, 0, 0)
 

@@ -81,14 +81,19 @@ def f2_elements():
     return st.tuples(*(small_rationals,) * 4).map(lambda cs: F2.element(*cs))
 
 
+FIELDS = (F1, F2, QuarticField((1, 0, -10, 0, 1)))
+
+coefficient_tuples = st.tuples(*(small_rationals,) * 4)
+
+
 # -- basic identities -------------------------------------------------------
 
 
 def test_generator_satisfies_minimal_polynomial():
     t = F1.t
-    assert t**4 == F1.from_rational(5)
+    assert t**4 == F1.element(5)
     u = F2.t
-    assert u**4 == F2.from_rational(2) - 2 * u * u
+    assert u**4 == F2.element(2) - 2 * u * u
 
 
 def test_golden_ratio_identity():
@@ -99,9 +104,9 @@ def test_golden_ratio_identity():
 
 def test_sqrt5_and_sqrt3_squares():
     sqrt5 = F1.t**2
-    assert sqrt5 * sqrt5 == F1.from_rational(5)
+    assert sqrt5 * sqrt5 == F1.element(5)
     sqrt3 = F2.t**2 + 1
-    assert sqrt3 * sqrt3 == F2.from_rational(3)
+    assert sqrt3 * sqrt3 == F2.element(3)
 
 
 def test_to_float_against_bisection_oracle():
@@ -229,11 +234,6 @@ def test_serialization_round_trip(a):
 
 # -- the integer representation ---------------------------------------------
 
-FIELDS = (F1, F2, QuarticField((1, 0, -10, 0, 1)))
-
-coefficient_tuples = st.tuples(*(small_rationals,) * 4)
-
-
 def reference_product(x, y, fld):
     """Fraction coefficients of x*y: the degree-6 product, then each t^d
     for d = 6, 5, 4 rewritten as t^(d-4) (-q - p t^2)."""
@@ -301,9 +301,9 @@ def test_rational_sqrt():
 
 def test_field_sqrt_known_values():
     # sqrt(5) = t^2 in F1
-    assert field_sqrt(F1.from_rational(5)) == F1.t**2
+    assert field_sqrt(F1.element(5)) == F1.t**2
     # sqrt(3) = t^2+1 in F2
-    assert field_sqrt(F2.from_rational(3)) == F2.t**2 + 1
+    assert field_sqrt(F2.element(3)) == F2.t**2 + 1
     # sqrt(sqrt(3)-1) = t in F2
     assert field_sqrt(F2.t**2) == F2.t
     # (2-sqrt3)/2 = ((sqrt3-1)/2)^2
@@ -313,15 +313,35 @@ def test_field_sqrt_known_values():
 
 
 def test_field_sqrt_rejects_non_members():
-    assert field_sqrt(F2.from_rational(2)) is None  # sqrt2 not in F2
-    assert field_sqrt(F2.from_rational(Fraction(1, 2))) is None
-    assert field_sqrt(F1.from_rational(-1)) is None
+    assert field_sqrt(F2.element(2)) is None  # sqrt2 not in F2
+    assert field_sqrt(F2.element(Fraction(1, 2))) is None
+    assert field_sqrt(F1.element(-1)) is None
     assert field_sqrt((F2.t**2 + 1) / 2) is None  # sqrt(sqrt3/2) not in F2
 
 
-@given(f1_elements())
+@pytest.mark.parametrize(
+    "fld, square, root",
+    [
+        # found only through the second candidate, 2 alpha^2 = x - s
+        (F1, (29, 2, 5, 0), (-2, 2, 1, 1)),
+        (F2, (14, 4, 4, 4), (0, 4, 1, 1)),
+        # the norm to Q(theta) is a square, yet no root exists
+        (F1, (7, 4, 3, 2), None),
+        (F2, (2, 4, 2, 0), None),
+        # a root in Q(theta) t
+        (F1, (0, 0, 9, 0), (0, 3, 0, 0)),
+        (F2, (0, 0, 9, 0), (0, 3, 0, 0)),
+    ],
+)
+def test_field_sqrt_branches(fld, square, root):
+    expected = None if root is None else fld.element(*root)
+    assert field_sqrt(fld.element(*square)) == expected
+
+
+@given(st.sampled_from(FIELDS), coefficient_tuples)
 @settings(max_examples=60)
-def test_field_sqrt_of_squares(a):
+def test_field_sqrt_of_squares(fld, x):
+    a = fld.element(*x)
     r = field_sqrt(a * a)
     assert r is not None
     assert r * r == a * a
