@@ -219,13 +219,19 @@ class FieldElement:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den) and (
-            self.field is other.field or self.field == other.field
-        )
+        # an int or Fraction compares as the element it coerces to, as in
+        # arithmetic; elements of two fields are never equal
+        try:
+            o = self._coerce(other)
+        except MixedFieldError:
+            return False
+        return NotImplemented if o is None else (self.num, self.den) == (o.num, o.den)
 
     def __hash__(self) -> int:
+        n0, n1, n2, n3 = self.num
+        if not (n1 or n2 or n3):
+            # equal to the rational n0/den, so it must hash as that does
+            return hash(Fraction(n0, self.den))
         return hash((self.field, self.den, self.num))
 
     def _coerce(self, other: object) -> Optional["FieldElement"]:

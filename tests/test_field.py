@@ -134,6 +134,15 @@ def test_mixed_field_operations_raise():
     assert F1.one != F2.one
 
 
+def test_elements_equal_the_rationals_they_coerce_to():
+    assert F1.one == 1 and F1.zero == 0 and F1.one != 2
+    assert 1 == F1.one and F1.t != 0
+    assert F1.one / 2 == Fraction(1, 2)
+    assert hash(F1.one) == hash(1)
+    assert hash(F1.one / 2) == hash(Fraction(1, 2))
+    assert len({F1.one, 1}) == 1
+
+
 def test_sign_exactness():
     t = F1.t
     sqrt5 = t * t

@@ -15,12 +15,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphereflow.constructions as constructions
-from sphereflow.flows import FlowInstance, backtrack_search, encode_nzk
+import sphereflow.solver as solver_module
+from sphereflow.flows import (
+    FlowInstance,
+    backtrack_search,
+    encode_nzk,
+    encode_support,
+    expected_support_clause_count,
+)
 from sphereflow.solver import (
     CnfFormula,
     SatResult,
     Solver,
     check_model,
+    hyper_resolvents,
     parse_dimacs,
     sat_solve,
 )
@@ -129,10 +137,7 @@ def test_solver_decides_labeling_encodings(icosi_q):
         assert res.satisfiable == (backtrack_search(inst) is not None)
 
 
-def test_solver_refutes_pigeonhole():
-    # Five pigeons in four holes: small enough to stay fast, hard enough
-    # to generate conflicts and restarts.
-    pigeons, holes = 5, 4
+def _pigeonhole(pigeons: int, holes: int) -> CnfFormula:
     var = lambda p, h: p * holes + h + 1
     clauses = []
     for p in range(pigeons):
@@ -141,8 +146,87 @@ def test_solver_refutes_pigeonhole():
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-var(p1, h), -var(p2, h)))
-    f = CnfFormula(num_vars=pigeons * holes, clauses=tuple(clauses))
-    assert not sat_solve(f).satisfiable
+    return CnfFormula(num_vars=pigeons * holes, clauses=tuple(clauses))
+
+
+def test_solver_refutes_pigeonhole():
+    # Five pigeons in four holes: small enough to stay fast, hard enough
+    # to generate conflicts and restarts.
+    assert not sat_solve(_pigeonhole(5, 4)).satisfiable
+
+
+def test_activity_rescale_keeps_every_answer(monkeypatch):
+    """With decay 0.5 the bump doubles at each conflict and passes 1e100,
+    which rescales every activity, after about 330 conflicts; seven
+    pigeons in six holes take over a thousand."""
+    monkeypatch.setattr(solver_module, "_ACTIVITY_DECAY", 0.5)
+    php = _pigeonhole(7, 6)
+    # a guard literal on pigeon 0's row: assuming it false refutes the
+    # formula, and without assumptions the formula has models
+    guard = php.num_vars + 1
+    f = CnfFormula(guard, ((guard,) + php.clauses[0],) + php.clauses[1:])
+    solver = Solver(f)
+    res = solver.solve((-guard,))
+    assert not res.satisfiable and res.core == (-guard,)
+    res = solver.solve()
+    assert res.satisfiable and check_model(f, res.model)
+    rng = random.Random(4242)
+    for _ in range(200):
+        f = random_formula(rng)
+        res = sat_solve(f)
+        assert res.satisfiable == brute_force_sat(f)
+        if res.satisfiable:
+            assert check_model(f, res.model)
+
+
+def _resolvents(f: CnfFormula) -> list[tuple[int, ...]]:
+    """``hyper_resolvents`` on the distinct clauses of ``f``, with the
+    ternary occurrence lists that ``Solver`` builds when it loads them."""
+    loaded = {tuple(sorted(set(c))): c for c in f.clauses}
+    terns: list[list[int]] = [[] for _ in range(2 * f.num_vars + 1)]
+    for a, b, c in (key for key in loaded if len(key) == 3):
+        terns[a] += (b, c)
+        terns[b] += (a, c)
+        terns[c] += (a, b)
+    return hyper_resolvents([c for c in loaded if len(c) >= 4], terns, loaded)
+
+
+def test_resolvents_of_the_direct_cnf_are_the_support_clauses(
+    icosi_q, ce1_q, ce2_q
+):
+    """Loading the direct CNF derives exactly the support clauses of the
+    class triples, and a support formula has nothing left to derive, so
+    its search is unchanged."""
+    for q in (icosi_q, ce1_q, ce2_q):
+        for k in (3, 4, 5):
+            support = encode_support(q.n_reps, q.class_triples, k)
+            # the one-value rows that both encodings start with
+            shared = expected_support_clause_count(q.n_reps, 0, k)
+            found = _resolvents(encode_nzk(FlowInstance(q, k)))
+            assert len(found) == q.n_classes * 3 * (2 * k) ** 2
+            assert {frozenset(c) for c in found} == {
+                frozenset(c) for c in support.clauses[shared:-1]
+            }
+            assert _resolvents(support) == []
+
+
+def test_resolvent_rule_on_small_clauses():
+    # (1 | 2 | 3 | 4) with -1, -2, -3 each beside (5 | 6), and -4 beside
+    # nothing: (5 | 6 | 4) follows.  With -4 beside (5 | 6) too, (5 | 6).
+    sides = ((-1, 5, 6), (6, -2, 5), (5, 6, -3))
+    nucleus = (1, 2, 3, 4)
+    assert _resolvents(CnfFormula(6, (nucleus,) + sides)) == [(5, 6, 4)]
+    f = CnfFormula(6, (nucleus,) + sides + ((-4, 6, 5),))
+    assert _resolvents(f) == [(5, 6)]
+    # a resolvent already in the formula, or a tautology, is not derived
+    assert _resolvents(CnfFormula(6, (nucleus,) + sides + ((4, 5, 6),))) == []
+    taut = ((-1, 5, -4), (-2, 5, -4), (-3, 5, -4))
+    assert _resolvents(CnfFormula(6, (nucleus,) + taut)) == []
+    # the residual (5 | 4) holds the missing literal 4: the resolvent is (4 | 5)
+    repeat = ((-1, 4, 5), (-2, 4, 5), (-3, 4, 5))
+    assert _resolvents(CnfFormula(6, (nucleus,) + repeat)) == [(4, 5)]
+    # two literals with no side clause leave nothing to derive
+    assert _resolvents(CnfFormula(6, (nucleus,) + sides[:2])) == []
 
 
 def test_check_model_rejects_bad_assignment():
@@ -208,7 +292,8 @@ def test_solver_vs_brute_property(seed):
 
 
 def _with_units(f: CnfFormula, lits) -> CnfFormula:
-    return CnfFormula(f.num_vars, f.clauses + tuple((lit,) for lit in lits))
+    # units first, so brute force rejects most assignments at once
+    return CnfFormula(f.num_vars, tuple((lit,) for lit in lits) + f.clauses)
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,6 +332,54 @@ def test_assumptions_cores_and_successive_solves(seed, wide):
         assert sat_solve(units).satisfiable == expected
         if expected:
             assert check_model(units, res.model) and res.core == ()
+        else:
+            assert set(res.core) <= set(assumptions)
+            assert not brute_force_sat(_with_units(f, res.core))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_one_hot_instances_with_resolvents(seed):
+    """Exactly-one groups with random ternary blocking clauses, the shape
+    of the direct labeling CNF, so groups of four literals are nuclei
+    that the load resolves: answers match brute force, every core is
+    refuted, and sampled resolvents are implied by the formula."""
+    rng = random.Random(seed)
+    # 3-6 groups of 2-4 literals, at most 12 variables for brute force;
+    # dropping whole groups first keeps groups of four, the nuclei
+    sizes = [rng.randint(2, 4) for _ in range(rng.randint(3, 6))]
+    while sum(sizes) > 12:
+        if len(sizes) > 3:
+            sizes.pop()
+        else:
+            sizes[sizes.index(max(sizes))] -= 1
+    groups, clauses, n = [], [], 0
+    for size in sizes:
+        group = list(range(n + 1, n + size + 1))
+        n += size
+        groups.append(group)
+        clauses.append(tuple(group))
+        clauses += [(-a, -b) for a, b in itertools.combinations(group, 2)]
+    density = rng.uniform(0.3, 1.0)
+    for members in itertools.combinations(groups, 3):
+        for values in itertools.product(*members):
+            if rng.random() < density:
+                clauses.append(tuple(-v for v in rng.sample(values, 3)))
+    f = CnfFormula(n, tuple(clauses))
+    found = _resolvents(f)
+    for resolvent in rng.sample(found, min(2, len(found))):
+        assert not brute_force_sat(_with_units(f, (-lit for lit in resolvent)))
+    solver = Solver(f)
+    for _ in range(4):
+        assumptions = tuple(
+            rng.choice((1, -1)) * rng.randint(1, f.num_vars)
+            for _ in range(rng.randint(0, 4))
+        )
+        res = solver.solve(assumptions)
+        units = _with_units(f, assumptions)
+        assert res.satisfiable == brute_force_sat(units)
+        if res.satisfiable:
+            assert check_model(units, res.model)
         else:
             assert set(res.core) <= set(assumptions)
             assert not brute_force_sat(_with_units(f, res.core))
