@@ -119,7 +119,6 @@ def symmetric_expansion() -> PointSet:
         pts = small_circle_intersection(
             icosi.points[i], icosi.points[j], Fraction(-1, 2)
         )
-        _require(len(pts) == 2, "each close pair must give two intersections")
         raw.extend(pts)
     ps = dedup_points(raw)
     _require(ps.n_points == 150, f"expected 150 points, got {ps.n_points}")

@@ -6,7 +6,8 @@ antipodal consistency is structural through the orientation signs.  The
 problem is decided twice, by CNF encoding plus SAT solving and by a
 direct backtracking oracle, and the two answers are cross-checked.
 
-Two encodings share one variable layout.  The direct encoding
+Two encodings share one variable layout, ``_slot_literals``: rep r
+taking slot j is variable r*2k + j + 1.  The direct encoding
 (``encode_nzk``) blocks every nonzero value combination of a triple;
 it is the published DIMACS export and fixes the published clause counts.
 The support encoding (``encode_support``) is what SAT decisions run on:
@@ -94,46 +95,56 @@ def expected_clause_count(n_reps: int, n_triples: int, k: int) -> int:
     )
 
 
-def _one_value_clauses(n_reps: int, two_k: int) -> list[tuple[int, ...]]:
+_Rows = list[tuple[int, ...]]
+
+
+def _slot_literals(n_reps: int, k: int) -> tuple[_Rows, _Rows]:
+    """The layout's literal rows: pos[r][j] = r*2k + j + 1 says rep r
+    takes slot j, and neg[r][j] is its negation.
+
+    Every clause of a formula takes its literals from these rows, so each
+    distinct literal is one shared int object, which keeps a formula of
+    many triples small in memory.
+    """
+    two_k = 2 * k
+    pos = [tuple(range(r * two_k + 1, (r + 1) * two_k + 1)) for r in range(n_reps)]
+    return pos, [tuple(-lit for lit in row) for row in pos]
+
+
+def _one_value_clauses(pos: _Rows, neg: _Rows) -> list[tuple[int, ...]]:
     """Per rep: the at-least-one clause, then the pairwise at-most-one ones."""
     clauses: list[tuple[int, ...]] = []
-    for first in range(1, n_reps * two_k + 1, two_k):
-        clauses.append(tuple(range(first, first + two_k)))
-        for j1 in range(two_k):
-            for j2 in range(j1 + 1, two_k):
-                clauses.append((-(first + j1), -(first + j2)))
+    for row, negs in zip(pos, neg):
+        clauses.append(row)
+        for j1, lit1 in enumerate(negs):
+            clauses.extend((lit1, lit2) for lit2 in negs[j1 + 1 :])
     return clauses
 
 
 def encode_nzk(inst: FlowInstance) -> CnfFormula:
     """Direct CNF for a flow instance over every oriented triple.
 
-    Clause order is deterministic.  Variable i*2k + j + 1 asserts rep i takes value_slots(k)[j].  Per
-    rep: one at-least-one clause then the pairwise at-most-one clauses;
-    per oriented triple: a 3-literal blocking clause for every ordered
-    value combination whose signed sum is nonzero.
+    Clause order is deterministic; variables follow ``_slot_literals``.
+    Per rep: one at-least-one clause then the pairwise at-most-one
+    clauses; per oriented triple: a 3-literal blocking clause for every
+    ordered value combination whose signed sum is nonzero.
     """
     n_reps, triples, k = inst.n_reps, inst.triples, inst.k
     slots = value_slots(k)
     two_k = len(slots)
-
-    def var(rep: int, slot: int) -> int:
-        return rep * two_k + slot + 1
-
-    clauses = _one_value_clauses(n_reps, two_k)
+    pos, neg = _slot_literals(n_reps, k)
+    clauses = _one_value_clauses(pos, neg)
     z_k = count_zero_sum_values(k)
     for triple in triples:
         (r1, s1), (r2, s2), (r3, s3) = triple
         blocked = 0
-        for j1, v1 in enumerate(slots):
-            for j2, v2 in enumerate(slots):
+        for v1, lit1 in zip(slots, neg[r1]):
+            for v2, lit2 in zip(slots, neg[r2]):
                 partial = s1 * v1 + s2 * v2
-                for j3, v3 in enumerate(slots):
+                for v3, lit3 in zip(slots, neg[r3]):
                     if partial + s3 * v3 != 0:
                         blocked += 1
-                        clauses.append(
-                            (-var(r1, j1), -var(r2, j2), -var(r3, j3))
-                        )
+                        clauses.append((lit1, lit2, lit3))
         # Negating any orientation sign permutes the value combinations,
         # so the blocked count must match the unsigned count.
         if blocked != two_k**3 - z_k:
@@ -156,19 +167,20 @@ def expected_support_clause_count(n_reps: int, n_triples: int, k: int) -> int:
     return n_reps * (1 + comb(two_k, 2)) + n_triples * 3 * two_k**2 + sign_clauses
 
 
-def _support_clauses(triple: OrientedTriple, k: int) -> list[tuple[int, ...]]:
+def _support_clauses(
+    triple: OrientedTriple, k: int, pos: _Rows, neg: _Rows, z_k: int
+) -> list[tuple[int, ...]]:
     """The 3*(2k)^2 support clauses of one oriented triple.
 
     Per member pair (a, b) with third member c, in the order (1,2),
     (1,3), (2,3): for every value pair, the clause -a(va) | -b(vb) | c(vc),
     where vc is the value the triple then forces on c; c(vc) is left out
-    when vc is zero or beyond k.  Each distinct literal is one shared int
-    object, which keeps a formula of many triples small in memory.
+    when vc is zero or beyond k.  ``pos`` and ``neg`` are the formula's
+    ``_slot_literals`` rows and ``z_k`` is ``count_zero_sum_values(k)``.
     """
     slots = value_slots(k)
-    two_k = len(slots)
-    pos = [[r * two_k + j + 1 for j in range(two_k)] for r, _ in triple]
-    neg = [[-lit for lit in row] for row in pos]
+    pos = [pos[r] for r, _ in triple]  # from here on, one row per member
+    neg = [neg[r] for r, _ in triple]
     clauses: list[tuple[int, ...]] = []
     supported = 0
     for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
@@ -184,10 +196,9 @@ def _support_clauses(triple: OrientedTriple, k: int) -> list[tuple[int, ...]]:
                     clauses.append((neg[a][ja], neg[b][jb]))
     # Each member pair has as many supported value pairs as there are
     # zero-sum value triples, whatever the orientation signs.
-    if supported != 3 * count_zero_sum_values(k):
+    if supported != 3 * z_k:
         raise AssertionError(
-            f"sign-adjusted support count {supported} != "
-            f"{3 * count_zero_sum_values(k)}"
+            f"sign-adjusted support count {supported} != {3 * z_k}"
         )
     return clauses
 
@@ -211,16 +222,15 @@ def encode_support(
     of every subset to labelings of the same subset.
     """
     two_k = 2 * k
-    clauses = _one_value_clauses(n_reps, two_k)
+    pos, neg = _slot_literals(n_reps, k)
+    z_k = count_zero_sum_values(k)
+    clauses = _one_value_clauses(pos, neg)
     for i, triple in enumerate(triples):
-        if guarded:
-            guard = (-(n_reps * two_k + i + 1),)
-            clauses += [c + guard for c in _support_clauses(triple, k)]
-        else:
-            clauses += _support_clauses(triple, k)
+        guard = (-(n_reps * two_k + i + 1),) if guarded else ()
+        clauses += [c + guard for c in _support_clauses(triple, k, pos, neg, z_k)]
     if triples:
         first = min(r for t in triples for r, _ in t)
-        clauses.append(tuple(first * two_k + j + 1 for j in range(k, two_k)))
+        clauses.append(pos[first][k:])
     num_vars = n_reps * two_k + (len(triples) if guarded else 0)
     formula = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
     expected = expected_support_clause_count(n_reps, len(triples), k)
@@ -277,13 +287,11 @@ def _checked(labeling: Labeling, inst: FlowInstance, route: str) -> Labeling:
 def decode_witness(model: Sequence[int], inst: FlowInstance) -> Labeling:
     """Read the chosen value per rep out of a model of either encoding."""
     slots = value_slots(inst.k)
-    two_k = len(slots)
+    pos, _ = _slot_literals(inst.n_reps, inst.k)
     positives = {lit for lit in model if lit > 0}
     values: list[int] = []
-    for rep in range(inst.n_reps):
-        chosen = [
-            slots[j] for j in range(two_k) if rep * two_k + j + 1 in positives
-        ]
+    for rep, row in enumerate(pos):
+        chosen = [v for v, lit in zip(slots, row) if lit in positives]
         if len(chosen) != 1:
             raise AssertionError(
                 f"rep {rep} has {len(chosen)} chosen values; encoding bug"

@@ -8,7 +8,7 @@ sets reach SHADOW_TOLERANCE around the target and confirm each
 candidate by exact arithmetic in the field, float sets reach EPSILON
 and confirm within EPSILON.  The O(n^3) brute-force triple search is
 the independent reference the tests compare against.  Small-circle
-intersection is exact only.
+intersection is exact only and returns two points or raises.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .field import FieldElement, Rational, field_sqrt
-
-
-class DegenerateConfigurationError(ValueError):
-    """Raised when an operation receives geometrically degenerate input."""
-
-
-class ExactnessError(ValueError):
-    """Raised when an exact computation would have to leave the field."""
 
 
 class StructureError(ValueError):
@@ -244,11 +236,12 @@ def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
 def find_zero_sum_triples_brute(ps: PointSet) -> tuple[Triple, ...]:
     """O(n^3) reference implementation, kept as a test oracle."""
     pts = ps.points
+    exact = ps.all_exact
     out = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             for k in range(j + 1, len(pts)):
-                if ps.all_exact:
+                if exact:
                     s = tuple(
                         pts[i].exact[c] + pts[j].exact[c] + pts[k].exact[c]
                         for c in range(3)
@@ -280,34 +273,26 @@ def _cross_exact(a: ExactCoords, b: ExactCoords) -> ExactCoords:
 
 def small_circle_intersection(
     p: SpherePoint, q: SpherePoint, height: Rational
-) -> tuple[SpherePoint, ...]:
-    """Unit vectors x with <x,p> = <x,q> = height, for exact non-parallel p, q.
+) -> tuple[SpherePoint, SpherePoint]:
+    """The two unit vectors x with <x,p> = <x,q> = height, for exact p, q.
 
     Parameterizes the intersection line of the two planes as
     alpha*(p+q) + gamma*(p x q) and takes the discriminant's square root
-    inside the field; if that root does not exist in the field the
-    operation raises ExactnessError rather than falling back to floats.
-    Returns 2, 1 (tangent), or 0 (disjoint) points.
+    inside the field.  Raises ValueError when p and q are parallel, or
+    when that root is zero (tangent circles), negative (disjoint ones) or
+    outside the field.
     """
     c = exact_dot(p, q)
     a, b = p.exact, q.exact
     one = c.field.one
     if c == one or c == -one:
-        raise DegenerateConfigurationError("small circles around parallel points")
+        raise ValueError("small circles around parallel points")
     alpha = c.field.element(Fraction(height)) / (one + c)
     # |x|^2 = 2 alpha^2 (1+c) + gamma^2 (1-c^2) = 1
-    gamma2 = (one - 2 * alpha * alpha * (one + c)) / (one - c * c)
-    s = gamma2.sign()
-    if s < 0:
-        return ()
+    gamma = field_sqrt((one - 2 * alpha * alpha * (one + c)) / (one - c * c))
+    if gamma is None or gamma.is_zero:
+        raise ValueError("small circles do not cross in two points of the field")
     mid = tuple(alpha * (a[i] + b[i]) for i in range(3))
-    if s == 0:
-        return (SpherePoint.from_exact(mid),)
-    gamma = field_sqrt(gamma2)
-    if gamma is None:
-        raise ExactnessError(
-            "intersection discriminant has no square root in the field"
-        )
     w = _cross_exact(a, b)
     plus = tuple(mid[i] + gamma * w[i] for i in range(3))
     minus = tuple(mid[i] - gamma * w[i] for i in range(3))

@@ -121,22 +121,18 @@ def quotient_antipodal(ps: PointSet) -> AntipodalQuotient:
         oriented.append(members)  # type: ignore[arg-type]
     # Mirror triples share reps and have globally opposite signs; collapse
     # each such pair into one class.
-    class_ids: dict[tuple, int] = {}
-    classes: list[list[int]] = []
+    classes: dict[tuple, list[int]] = {}
     for tid, members in enumerate(oriented):
         reps_part = tuple(r for r, _ in members)
         signs = tuple(s for _, s in members)
         key = (reps_part, min(signs, tuple(-s for s in signs)))
-        cid = class_ids.setdefault(key, len(classes))
-        if cid == len(classes):
-            classes.append([])
-        classes[cid].append(tid)
+        classes.setdefault(key, []).append(tid)
     orientation = tuple((rep_of[i], sign_of[i]) for i in range(ps.n_points))
     return AntipodalQuotient(
         representatives=tuple(reps),
         orientation=orientation,
         oriented_triples=tuple(oriented),
-        triple_classes=tuple(tuple(c) for c in classes),
+        triple_classes=tuple(tuple(c) for c in classes.values()),
     )
 
 

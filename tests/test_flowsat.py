@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import signal
@@ -117,6 +118,91 @@ def test_encoding_is_byte_deterministic(icosi_q):
     b = encode_nzk(FlowInstance(icosi_q, 3)).to_dimacs()
     assert a == b
     assert a.splitlines()[0] == "p cnf 90 4200"
+
+
+# SHA-256 of to_dimacs() per instance and k: the direct CNF, the support
+# CNF over class_triples, and the same support CNF guarded
+PINNED_FORMULA_HASHES = {
+    "icosi": {
+        3: (
+            "7eb0c5f75595eb8d6013f6a3e3ef5e3fbb6aa7284afdc082331e09d69f1526b8",
+            "0593aaee557d7d2d808c79b69d505f185a16cc01d41d86a4b3a0d6e71faa6d0a",
+            "59fdc99f9428002d1e4043bbf5c8b97809dcad097ad2b362903e86ffb5909587",
+        ),
+        4: (
+            "a8f51909e879de55546d51266d5620f76e8e1a2a3b3ea0f7b631526f7d097db9",
+            "23657b812e10c16ea333e2dbbf9afc2fe1d8084cf1a388da26d5ea443bbdc614",
+            "91d0631c3248807208f55ab64e65526fb8fff39d6e46ed32e666be344a3b57b4",
+        ),
+        5: (
+            "d3578ab8616e7d86dda7083df81c13a792643704d40e8e0918ee475b0b18ee86",
+            "abb9234a8ca3672cb84869a2c78a910d32eec8a41f6288b2f55a25e843dfc4d4",
+            "5627c1aa3d6336b51cbab45094ef1f9f8e76aaf7eb313afe4732743c7a84b218",
+        ),
+    },
+    "ce1": {
+        3: (
+            "e7d8c64231fa8266f3063f69ff6f2a75e2951c0e990e7a75cea6e3c59ee29ba0",
+            "747a16c3501f5ec78bff5724a2215ae6880af8d519d33e80ee67883afed2b62e",
+            "9094a073501881ebe2fb0a8dae7306e81b9c9f60124d19d88913bd6cf81b4faa",
+        ),
+        4: (
+            "7735c09c9ca484f5487acb283c31da0cd5b8933b55f1a8f285c989116893e448",
+            "cc260f7a50106852f7c93ee59bf3a3056a1dcc34ff39e8509f6331fff7a935f1",
+            "a81ee792adf65e6cf4ac1074cd78fb0bff0c0e6b340929fd0796fe7e4a023df9",
+        ),
+        5: (
+            "0d32c8083c3ac28aec4065ab2caa2893beaa23b45a32d89cf700e49cb951adfc",
+            "952b5f51278b4f8976b5e501dfb789edd4f6d710d69c28facf337b6f505d6875",
+            "fa353f1a089c75c9ce484db477fa41130a89b5d704f288e00063b352101d1db9",
+        ),
+    },
+    "ce2": {
+        3: (
+            "918303816d2e6f26d816abd1e4423b9ae8581db6699d55f4b9940dac31a89855",
+            "7d27629f5f94405cc0ec8356a60d21c761a8988051a4b998703b2067d805ce7d",
+            "31daf19d70cba109f7767caa0d4eb6736f26e1b6f880f5f721fd2e14d7551abc",
+        ),
+        4: (
+            "bed3486002182d82ddae8234127d65c1d2c140d1585c5f0a024470a17e7a0edd",
+            "1d8b9666ff5fff44f4eb13883f4708fd7e5b2108236de0a321866058b0a3a59a",
+            "a2e0678c9d9ef7c6050242b40e133a475bc2e2d948e342fff69ead15d277c930",
+        ),
+        5: (
+            "7a9211ca535d29aedb7db290628959edb6d25cb09e0b064efe63cc502b26b7c3",
+            "b3dde954923f42bc8f7a4cc0be691b103403eb1da73abc87d269bd16518c7811",
+            "08d7f0c9824057e0a74062d37b4569934e344518c97552c252c567c749973980",
+        ),
+    },
+}
+
+
+def _pinned_formulas(q, k):
+    return (
+        encode_nzk(FlowInstance(q, k)),
+        encode_support(q.n_reps, q.class_triples, k),
+        encode_support(q.n_reps, q.class_triples, k, guarded=True),
+    )
+
+
+def test_formula_bytes_are_pinned(icosi_q, ce1_q, ce2_q):
+    quotients = {"icosi": icosi_q, "ce1": ce1_q, "ce2": ce2_q}
+    for name, by_k in PINNED_FORMULA_HASHES.items():
+        for k, pinned in by_k.items():
+            got = tuple(
+                hashlib.sha256(f.to_dimacs().encode()).hexdigest()
+                for f in _pinned_formulas(quotients[name], k)
+            )
+            assert got == pinned, (name, k)
+
+
+def test_formulas_share_one_int_per_literal(icosi_q, ce1_q, ce2_q):
+    """Every clause takes its literals from one table per formula."""
+    for q in (icosi_q, ce1_q, ce2_q):
+        for k in (3, 4, 5):
+            for formula in _pinned_formulas(q, k):
+                literals = [lit for clause in formula.clauses for lit in clause]
+                assert len({id(lit) for lit in literals}) == len(set(literals))
 
 
 def test_icosi_decisions_both_engines(icosi_q):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphereflow.constructions import icosidodecahedron_distance_pairs
 from sphereflow.field import F1
 from sphereflow.geometry import (
     EPSILON,
@@ -22,6 +24,7 @@ from sphereflow.geometry import (
     exact_dot,
     find_zero_sum_triples,
     find_zero_sum_triples_brute,
+    small_circle_intersection,
     _CELL_SIDE,
     _shadow_grid,
 )
@@ -256,6 +259,23 @@ def test_shadow_grid_reaches_across_a_cell_edge(icosi):
     reached = _within(cloud, target, EPSILON)
     assert len(_cells(cloud[i].floats[0] for i in reached)) > 1
     assert reached <= set(_shadow_grid(cloud, False)(target))
+
+
+def test_small_circle_intersection_gives_two_points_or_raises(icosi):
+    i, j = icosidodecahedron_distance_pairs(icosi)[0]
+    p, q = icosi.points[i], icosi.points[j]
+    half = Fraction(-1, 2)
+    x, y = small_circle_intersection(p, q, half)
+    assert x.exact != y.exact
+    for point in (x, y):
+        assert exact_dot(point, p) == half and exact_dot(point, q) == half
+    with pytest.raises(ValueError):
+        small_circle_intersection(p, p, half)  # parallel: p itself
+    with pytest.raises(ValueError):
+        small_circle_intersection(p, p.antipode(), half)  # parallel: antipode
+    with pytest.raises(ValueError):
+        # discriminant -1/(1+c)^2: the circles at height -1 are disjoint
+        small_circle_intersection(p, q, Fraction(-1))
 
 
 def test_dedup_points_rejects_mixed_modes(icosi):
