@@ -6,9 +6,8 @@ one grid of float shadows.  The mode of the point set, which each
 search reads once, sets the probe's reach and the confirm test: exact
 sets reach SHADOW_TOLERANCE around the target and confirm each
 candidate by exact arithmetic in the field, float sets reach EPSILON
-and confirm within EPSILON.  The O(n^3) brute-force triple search is
-the independent reference the tests compare against.  Small-circle
-intersection is exact only and returns two points or raises.
+and confirm within EPSILON.  Small-circle intersection is exact only
+and returns two points or raises.
 """
 
 from __future__ import annotations
@@ -231,31 +230,6 @@ def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
                 if k > j and _is_zero_sum(exact, p, pts[j], pts[k]):
                     out.append((i, j, k))
     return tuple(sorted(out))
-
-
-def find_zero_sum_triples_brute(ps: PointSet) -> tuple[Triple, ...]:
-    """O(n^3) reference implementation, kept as a test oracle."""
-    pts = ps.points
-    exact = ps.all_exact
-    out = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                if exact:
-                    s = tuple(
-                        pts[i].exact[c] + pts[j].exact[c] + pts[k].exact[c]
-                        for c in range(3)
-                    )
-                    if all(v.is_zero for v in s):
-                        out.append((i, j, k))
-                else:
-                    if all(
-                        abs(pts[i].floats[c] + pts[j].floats[c] + pts[k].floats[c])
-                        <= EPSILON
-                        for c in range(3)
-                    ):
-                        out.append((i, j, k))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

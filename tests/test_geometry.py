@@ -23,11 +23,37 @@ from sphereflow.geometry import (
     dedup_points,
     exact_dot,
     find_zero_sum_triples,
-    find_zero_sum_triples_brute,
     small_circle_intersection,
     _CELL_SIDE,
     _shadow_grid,
 )
+
+
+def find_zero_sum_triples_brute(ps: PointSet) -> tuple[tuple[int, int, int], ...]:
+    """The O(n^3) reference search the grid search is checked against:
+    every triple of indices, summed coordinate by coordinate, with no
+    shadow grid and no shared confirm test."""
+    pts = ps.points
+    exact = ps.all_exact
+    out = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for k in range(j + 1, len(pts)):
+                if exact:
+                    s = tuple(
+                        pts[i].exact[c] + pts[j].exact[c] + pts[k].exact[c]
+                        for c in range(3)
+                    )
+                    if all(v.is_zero for v in s):
+                        out.append((i, j, k))
+                else:
+                    if all(
+                        abs(pts[i].floats[c] + pts[j].floats[c] + pts[k].floats[c])
+                        <= EPSILON
+                        for c in range(3)
+                    ):
+                        out.append((i, j, k))
+    return tuple(out)
 
 
 def _random_unit(rng: random.Random) -> tuple[float, float, float]:

@@ -19,6 +19,7 @@ import sphereflow.solver as solver_module
 from sphereflow.flows import (
     FlowInstance,
     backtrack_search,
+    decide_labeling,
     encode_nzk,
     encode_support,
     expected_support_clause_count,
@@ -383,6 +384,182 @@ def test_one_hot_instances_with_resolvents(seed):
         else:
             assert set(res.core) <= set(assumptions)
             assert not brute_force_sat(_with_units(f, res.core))
+
+
+def _mirrored(
+    rng: random.Random, sizes, extra: int, count: int, weights=(1, 8, 24)
+):
+    """Disjoint all-positive rows of the given sizes, then ``count`` random
+    clauses of 1, 2 or 3 literals, drawn with ``weights``, over the rows'
+    variables and ``extra`` more.  Each is paired with its image under
+    the symmetry that reverses every row and fixes the extra variables.
+    Returns the variable count, the rows and the (clause, image) pairs."""
+    n = sum(sizes) + extra
+    image = list(range(n + 1))  # image[v] for each variable v
+    rows = []
+    for size in sizes:
+        start = rows[-1][-1] + 1 if rows else 1
+        row = tuple(range(start, start + size))
+        rows.append(row)
+        for v, w in zip(row, reversed(row)):
+            image[v] = w
+    pairs = []
+    for _ in range(count):
+        width = rng.choices((1, 2, 3), weights)[0]
+        vs = rng.sample(range(1, n + 1), width)
+        clause = tuple(v * rng.choice((1, -1)) for v in vs)
+        pairs.append((clause, tuple(image[x] if x > 0 else -image[-x] for x in clause)))
+    return n, rows, pairs
+
+
+def _small_mirrored(rng: random.Random):
+    """``_mirrored`` with one or two rows and at most 10 variables, few
+    enough for brute force."""
+    sizes = [rng.randint(4, 5) for _ in range(rng.randint(1, 2))]
+    extra = rng.randint(0, 10 - sum(sizes))
+    n = sum(sizes) + extra
+    return _mirrored(rng, sizes, extra, rng.randint(n, 3 * n))
+
+
+def _mirrored_formula(n: int, rows, pairs) -> CnfFormula:
+    return CnfFormula(n, tuple(rows) + tuple(c for pair in pairs for c in pair))
+
+
+def _assumption_sets(rng: random.Random, n: int, count: int, most: int):
+    """``count`` sets of up to ``most`` literals, drawn with replacement."""
+    for _ in range(count):
+        size = rng.randint(0, most)
+        yield tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_mirrored_formulas_match_brute_force(seed):
+    """A formula invariant under reversing its rows learns the image of
+    each learned clause too, and still decides every assumption set as
+    brute force does, with checked models and refuted cores."""
+    rng = random.Random(seed)
+    n, rows, pairs = _small_mirrored(rng)
+    f = _mirrored_formula(n, rows, pairs)
+    solver = Solver(f)
+    for assumptions in _assumption_sets(rng, n, 5, 4):
+        res = solver.solve(assumptions)
+        units = _with_units(f, assumptions)
+        assert res.satisfiable == brute_force_sat(units)
+        assert res.stats["symmetric"] <= res.stats["learned"] <= res.stats["conflicts"]
+        if res.satisfiable:
+            assert check_model(units, res.model)
+        else:
+            assert set(res.core) <= set(assumptions)
+            assert not brute_force_sat(_with_units(f, res.core))
+
+
+@pytest.mark.parametrize("seed", [137, 651, 3679, 4695])
+def test_mirror_images_that_are_false_when_learned(seed):
+    """Seeds whose searches add an image clause that the trail already
+    falsifies, at the current level or below it, so the search analyzes
+    it as a conflict.  Each answer matches a solver that learns no
+    images: the same formula plus a row of four fresh variables and a
+    clause on them whose image is missing."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(4, 8) for _ in range(3)]
+    n, rows, pairs = _mirrored(rng, sizes, 2, 2 * (sum(sizes) + 2), weights=(0, 0, 1))
+    f = _mirrored_formula(n, rows, pairs)
+    fresh = tuple(range(n + 1, n + 5))
+    plain = Solver(CnfFormula(n + 4, f.clauses + (fresh, (fresh[0], -fresh[1]))))
+    solver = Solver(f)
+    for assumptions in _assumption_sets(rng, n, 3, 3):
+        res = solver.solve(assumptions)
+        ref = plain.solve(assumptions)
+        assert ref.stats["symmetric"] == 0
+        assert res.satisfiable == ref.satisfiable
+        if res.satisfiable:
+            assert check_model(_with_units(f, assumptions), res.model)
+        else:
+            assert set(res.core) <= set(assumptions)
+            assert not plain.solve(res.core).satisfiable
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_nearly_mirrored_formula_learns_no_images(seed):
+    """Without one image clause the formula is not invariant under the
+    row reversal, so the solver adds no image and still answers as brute
+    force does."""
+    rng = random.Random(seed)
+    n, rows, pairs = _small_mirrored(rng)
+    row = rows[0]
+    # (row[0] | -row[1]) stays, and its image (row[-1] | -row[-2]) goes
+    missing = {row[-1], -row[-2]}
+    clauses = _mirrored_formula(n, rows, pairs).clauses + ((row[0], -row[1]),)
+    f = CnfFormula(n, tuple(c for c in clauses if set(c) != missing))
+    solver = Solver(f)
+    for assumptions in _assumption_sets(rng, n, 5, 4):
+        res = solver.solve(assumptions)
+        assert res.stats["symmetric"] == 0
+        units = _with_units(f, assumptions)
+        assert res.satisfiable == brute_force_sat(units)
+        if res.satisfiable:
+            assert check_model(units, res.model)
+        else:
+            assert not brute_force_sat(_with_units(f, res.core))
+
+
+def test_direct_cnf_learns_mirror_images(ce1_q, ce2_q):
+    """The direct CNF is invariant under negating every value, so each
+    learned clause comes with its image, and the refutations at k=4 take
+    far fewer conflicts than the 2625 and 1099 of a search without."""
+    for q, conflicts in ((ce1_q, 1615), (ce2_q, 575)):
+        res = sat_solve(encode_nzk(FlowInstance(q, 4)))
+        assert not res.satisfiable
+        assert res.stats["conflicts"] == conflicts
+        assert res.stats["symmetric"] == res.stats["learned"] == conflicts - 1
+        assert res.stats["decisions"] > 0 and res.stats["propagations"] > 0
+
+
+def test_support_route_learns_no_images(icosi_q, ce1, ce1_q, ce2_q, monkeypatch):
+    """The sign clause of a support formula, and the guards of a guarded
+    one, break the mirror symmetry: every solve that decides a labeling
+    or a prune step searches without images."""
+    results = []
+
+    def recorded(formula):
+        results.append(sat_solve(formula))
+        return results[-1]
+
+    for q in (icosi_q, ce1_q, ce2_q):
+        for k in (3, 4, 5):
+            decide_labeling(FlowInstance(q, k), recorded)
+    assert [r.stats["symmetric"] for r in results] == [0] * 9
+    # ce1 at k=4, refuted by the support formula
+    assert results[4].stats["conflicts"] == 1610
+    solve = Solver.solve
+
+    def recorded_solve(self, assumptions=()):
+        results.append(solve(self, assumptions))
+        return results[-1]
+
+    monkeypatch.setattr(Solver, "solve", recorded_solve)
+    results.clear()
+    constructions.unsat_preserving_prune(ce1, 4)
+    assert len(results) > 20
+    assert all(r.stats["symmetric"] == 0 for r in results)
+
+
+def test_stats_count_each_solve():
+    # reversing each pigeon's row of holes maps the pigeonhole formula
+    # onto itself, so it learns images too
+    solver = Solver(_pigeonhole(5, 4))
+    first, second = solver.solve(), solver.solve()
+    assert set(first.stats) == {
+        "conflicts", "decisions", "propagations", "learned", "symmetric", "restarts"
+    }
+    assert first.stats["symmetric"] > 0
+    # the first solve refutes the formula, and the second starts its
+    # counters from zero
+    assert first.stats["conflicts"] > second.stats["conflicts"] == 0
+    # the counters take no part in equality
+    assert first == SatResult(False, None)
 
 
 @settings(max_examples=150, deadline=None)
