@@ -132,10 +132,10 @@ def main() -> int:
 
     banner("second counterexample (ce2)")
     ce2 = build_second_counterexample()
-    check("survey kept values", len(ce2.survey.kept), 11)
+    check("survey kept values", len(ce2.survey), 11)
     check(
         "survey exact values",
-        sum(1 for c in ce2.survey.kept if c.exact is not None),
+        sum(1 for c in ce2.survey if c.exact is not None),
         8,
     )
     check("candidate cloud points", ce2.cloud.n_points, 210)

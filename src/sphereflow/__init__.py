@@ -11,7 +11,6 @@ at bound 4), and two 50- and 36-point configurations that are not
 """
 
 from .constructions import (
-    CandidateSurvey,
     ConstructionError,
     SecondConstruction,
     build_first_expansion,
@@ -64,7 +63,6 @@ from .solver import CnfFormula, SatResult, Solver, parse_dimacs, sat_solve
 
 __all__ = [
     "AntipodalQuotient",
-    "CandidateSurvey",
     "CnfFormula",
     "ConstructionError",
     "F1",

@@ -202,12 +202,7 @@ class CandidateValue:
     exact: Optional[FieldElement]
 
 
-@dataclass(frozen=True)
-class CandidateSurvey:
-    kept: tuple[CandidateValue, ...]
-
-
-def candidate_coordinate_survey() -> CandidateSurvey:
+def candidate_coordinate_survey() -> tuple[CandidateValue, ...]:
     """Evaluate both candidate formulas over the fixed survey grid.
 
     c_rat = |w1 + w2*sqrt3|/2 for 0 <= w1 <= 2 and |w2| <= 2 (the grid
@@ -248,7 +243,7 @@ def candidate_coordinate_survey() -> CandidateSurvey:
             else:
                 add(math.sqrt(c_rat.to_float()), None)
     kept.sort(key=lambda c: c.value)
-    return CandidateSurvey(tuple(kept))
+    return tuple(kept)
 
 
 def generate_candidate_points_float(values: Sequence[float]) -> PointSet:
@@ -522,7 +517,7 @@ def lift_to_exact(ps: PointSet, coords: Sequence[FieldElement]) -> PointSet:
 class SecondConstruction:
     """Full record of the searched-and-pruned second configuration."""
 
-    survey: CandidateSurvey
+    survey: tuple[CandidateValue, ...]
     cloud: PointSet
     degree_report: PruneReport
     component: PointSet
@@ -550,7 +545,7 @@ def build_second_counterexample() -> SecondConstruction:
     bit; the stage invariants below pin the expected shape.
     """
     survey = candidate_coordinate_survey()
-    cloud = generate_candidate_points_float([c.value for c in survey.kept])
+    cloud = generate_candidate_points_float([c.value for c in survey])
     _require(cloud.n_points == 210, "candidate cloud must have 210 points")
     cloud = cloud.with_triples(find_zero_sum_triples(cloud))
     _require(len(cloud.triples) == 116, "candidate cloud must carry 116 triples")
@@ -561,7 +556,7 @@ def build_second_counterexample() -> SecondConstruction:
         "largest component must be 126 points / 108 triples",
     )
     final_float, prune_report = unsat_preserving_prune(component, 4)
-    exact_values = [c.exact for c in survey.kept if c.exact is not None]
+    exact_values = [c.exact for c in survey if c.exact is not None]
     final = lift_to_exact(final_float, exact_values)
     used = {abs(c) for p in final.points for c in (p.exact or ())}
     expected = set(final_coordinate_values())

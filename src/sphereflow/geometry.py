@@ -64,8 +64,9 @@ class SpherePoint:
     ) -> "SpherePoint":
         floats = (_clean(x), _clean(y), _clean(z))
         if check_eps is not None:
-            err = abs(floats[0] ** 2 + floats[1] ** 2 + floats[2] ** 2 - 1.0)
-            if err > check_eps:
+            err = abs(sum(c * c for c in floats) - 1.0)
+            # overflow gives inf and 0 * inf gives nan; neither passes
+            if not err <= check_eps:
                 raise ValueError(f"float point off the unit sphere by {err}")
         return cls(exact=None, floats=floats)
 

@@ -5,9 +5,10 @@
 branching, phase saving and Luby restarts.  It decides one formula under
 successive sets of assumption literals, keeping what it learned, and
 explains each refuted set by the assumptions it used; ``sat_solve`` is
-the one-shot form.  Binary and ternary clauses,
-nearly all of a labeling encoding, are propagated from occurrence
-lists; longer clauses use two watched literals.  On load it keeps one
+the one-shot form.  Binary clauses are propagated from occurrence
+lists, which need no upkeep; every longer clause, whether loaded,
+derived or learned, by two watched literals (Moskewicz, Madigan, Zhao,
+Zhang & Malik, "Chaff", DAC 2001).  On load it keeps one
 clause per literal set, the first occurrence in its own literal order:
 the published direct CNF keeps both mirror copies of each triple's
 clauses, and a mirror triple blocks the same value combinations in the
@@ -26,8 +27,8 @@ are exactly the support clauses of ``flows.encode_support``, 3·(2k)²
 per class of mirror triples.  On
 the blocking clauses alone unit propagation only forward-checks; with
 the support clauses it is arc-consistent on every triple (Gent, "Arc
-consistency in SAT", ECAI 2002), and ce1 at k=4 takes 2625 conflicts
-instead of 8190.  A support formula already holds every resolvent, so
+consistency in SAT", ECAI 2002), and ce1 at k=4 takes 3101 conflicts
+instead of 8698.  A support formula already holds every resolvent, so
 it gains none and searches as before.  Resolvents are implied by the
 formula, so models and cores keep their meaning.
 
@@ -39,7 +40,7 @@ negation.  σ is kept only if it maps every original clause onto one;
 then the search adds the image σ(C) of each clause C it learns
 (symmetric learning; Benhamou, Nabhani, Ostrowski & Saïdi, ICTAI 2010;
 Devriendt, Bogaerts & Bruynooghe, SAT 2017), and refutes each region
-once instead of once per sign: ce1 at k=4 takes 1615 conflicts.  The
+once instead of once per sign: ce1 at k=4 takes 1423 conflicts.  The
 formula implies C and σ maps it onto itself, so it implies σ(C) too,
 and models and cores keep their meaning.  The clause database stays
 closed under σ, so each image is RUP, derivable by unit propagation
@@ -57,6 +58,7 @@ them with the independent CSP backtracking search in ``oracle``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
@@ -170,21 +172,32 @@ def check_model(formula: CnfFormula, model: Sequence[int]) -> bool:
 
 
 def hyper_resolvents(
-    nuclei: Iterable[Sequence[int]],
-    terns: Sequence[Sequence[int]],
+    clauses: Iterable[Sequence[int]],
     loaded: Container[tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
     """Clauses derived by one round of hyper-resolution on ternary clauses.
 
-    A nucleus is a clause C of four or more literals, and its side clauses
-    are the ternary clauses (-c | x | y) for c in C, read from ``terns``:
-    ``terns[lit]`` lists the other two literals of each ternary clause
-    holding ``lit``, as flat pairs.  A residual {x, y} met for every c in
-    C gives the clause (x | y); one met for every c but w gives
-    (x | y | w).  Resolvents drop repeated literals, skip tautologies
-    and any literal set in ``loaded`` or already found, and come in
-    nucleus order, then in the order their residuals are first met.
+    A nucleus is one of ``clauses`` of four or more literals, and its side
+    clauses are the ternary ones (-c | x | y) for c in it.  A residual
+    {x, y} met for every c in the nucleus gives the clause (x | y); one
+    met for every c but w gives (x | y | w).  ``clauses`` hold no
+    repeated literal and no complementary pair.  Resolvents drop repeated
+    literals, skip tautologies and any literal set in ``loaded`` or
+    already found, and come in nucleus order, then in the order their
+    residuals are first met, side clauses in the order of ``clauses``.
     """
+    # terns[lit] lists the other two literals of each ternary clause
+    # holding lit, as flat pairs
+    terns: defaultdict[int, list[int]] = defaultdict(list)
+    nuclei: list[Sequence[int]] = []
+    for lits in clauses:
+        if len(lits) == 3:
+            a, b, d = lits
+            terns[a].extend((b, d))
+            terns[b].extend((a, d))
+            terns[d].extend((a, b))
+        elif len(lits) >= 4:
+            nuclei.append(lits)
     found: list[tuple[int, ...]] = []
     new: set[tuple[int, ...]] = set()
     for nucleus in nuclei:
@@ -264,27 +277,6 @@ class Solver:
         # Per-literal tables have 2n+1 slots: a negative literal indexes
         # from the end, so ``table[lit]`` needs no sign test in the hot path.
         size = 2 * n + 1
-        # Binary and ternary clauses sit on full occurrence lists, which need
-        # no upkeep when assignments change; longer clauses (the at-least-one
-        # rows, guarded clauses and most learned clauses) use two watched
-        # literals.
-        bins: list[list[int]] = [[] for _ in range(size)]
-        terns: list[list[int]] = [[] for _ in range(size)]  # flat pairs
-        watch: list[list[list[int]]] = [[] for _ in range(size)]
-
-        def add_clause(c: list[int]) -> None:
-            if len(c) == 2:
-                bins[c[0]].append(c[1])
-                bins[c[1]].append(c[0])
-            elif len(c) == 3:
-                a, b, d = c
-                terns[a] += (b, d)
-                terns[b] += (a, d)
-                terns[d] += (a, b)
-            else:
-                watch[c[0]].append(c)
-                watch[c[1]].append(c)
-
         # False once the formula is refuted without any assumption.
         ok = True
         units: list[int] = []
@@ -296,12 +288,13 @@ class Solver:
         clauses = formula.clauses
         for key, clause in zip(map(tuple, map(sorted, map(set, clauses))), clauses):
             first.setdefault(key, clause)
-        nuclei: list[list[int]] = []
+        # the clauses of two or more literals, in load order
+        loaded: list[Sequence[int]] = []
         for key, clause in first.items():
             # A key as long as its clause, of one sign, has no repeated
             # literal and no complementary pair to look for.
             if len(key) == len(clause) and key and (key[0] > 0 or key[-1] < 0):
-                lits = list(clause)
+                lits: Sequence[int] = clause
             else:
                 lits = list(dict.fromkeys(clause))
                 if any(-lit in clause for lit in lits):
@@ -311,17 +304,15 @@ class Solver:
             elif len(lits) == 1:
                 units.append(lits[0])
             else:
-                add_clause(lits)
-                if len(lits) >= 4:
-                    nuclei.append(lits)
+                loaded.append(lits)
         # The resolvents follow the originals, so a formula with none
         # loads as it did without them.
-        for clause in hyper_resolvents(nuclei, terns, first):
-            add_clause(list(clause))
+        loaded += hyper_resolvents(loaded, first)
         # mirror[lit] is the image of lit under the candidate symmetry,
         # which reverses each nucleus; None when the formula is not
         # invariant under it, or has no nucleus.
         mirror: Optional[list[int]] = None
+        nuclei = [row for row in loaded if len(row) >= 4]
         row_vars = [lit for row in nuclei for lit in row]
         if row_vars and min(row_vars) > 0 and len(set(row_vars)) == len(row_vars):
             mirror = list(range(n + 1)) + list(range(-n, 0))
@@ -333,6 +324,24 @@ class Solver:
             images = map(tuple, map(sorted, (map(image_of, key) for key in first)))
             if not all(map(first.__contains__, images)):
                 mirror = None
+        del first
+        # Binary clauses sit on full occurrence lists, which need no upkeep
+        # when assignments change.  Every longer clause, loaded, resolvent,
+        # learned or image, is watched by its first two literals.  The lists
+        # are made only once the keys are freed, so the load peaks lower.
+        bins: list[list[int]] = [[] for _ in range(size)]
+        watch: list[list[list[int]]] = [[] for _ in range(size)]
+
+        def add_clause(c: list[int]) -> None:
+            if len(c) == 2:
+                bins[c[0]].append(c[1])
+                bins[c[1]].append(c[0])
+            else:
+                watch[c[0]].append(c)
+                watch[c[1]].append(c)
+
+        for lits in loaded:
+            add_clause(list(lits))
         val = [0] * size  # 1 true, -1 false, 0 unassigned; indexed by literal
         # neg[lit] is -lit as one shared int object, so the literals that
         # learned clauses keep are not each a fresh object.
@@ -385,28 +394,6 @@ class Solver:
                     score[var] = -1.0
                     level[var] = lv
                     reason[var] = (a, false_lit)
-                    trail.append(a)
-                pairs = iter(terns[false_lit])
-                for a, b in zip(pairs, pairs):
-                    va = val[a]
-                    if va > 0:
-                        continue
-                    vb = val[b]
-                    if vb > 0:
-                        continue
-                    if va < 0:
-                        if vb < 0:
-                            return head, (false_lit, a, b)
-                        a, b = b, a
-                    elif vb == 0:
-                        continue
-                    # a is unassigned and the clause's other literals are false
-                    val[a] = 1
-                    val[-a] = -1
-                    var = a if a > 0 else -a
-                    score[var] = -1.0
-                    level[var] = lv
-                    reason[var] = (a, false_lit, b)
                     trail.append(a)
                 watchers = watch[false_lit]
                 if not watchers:

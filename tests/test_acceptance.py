@@ -167,9 +167,9 @@ def test_criterion_07_first_expansion_graph_structure(ce1_q):
 def test_criterion_08_candidate_search_and_component():
     t0 = time.perf_counter()
     survey = candidate_coordinate_survey()
-    exact = [c.exact for c in survey.kept if c.exact is not None]
+    exact = [c.exact for c in survey if c.exact is not None]
     finals = final_coordinate_values()
-    cloud = generate_candidate_points_float([c.value for c in survey.kept])
+    cloud = generate_candidate_points_float([c.value for c in survey])
     cloud = cloud.with_triples(find_zero_sum_triples(cloud))
     pruned, _ = prune_low_degree(cloud)
     component = largest_connected_component(pruned)

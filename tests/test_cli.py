@@ -315,6 +315,23 @@ def _assert_one_line_error(code, capsys):
         },
         # triple 0 again, members reversed
         lambda doc: {**doc, "triples": doc["triples"] + [doc["triples"][0][::-1]]},
+        # squaring this coordinate overflows
+        lambda doc: {
+            **doc,
+            "field_tag": "float",
+            "points": [
+                {**p, "floats": [1.3407807929942597e154, 0.0, 0.0]} if i == 0 else p
+                for i, p in enumerate(doc["points"])
+            ],
+        },
+        # a subnormal radius scales (1, 0, 0) to (inf, nan, nan)
+        lambda doc: {
+            **doc,
+            "field_tag": "float",
+            "radius": "1/1" + "0" * 316,
+            "points": doc["points"][2:3],
+            "triples": [],
+        },
     ],
     ids=[
         "list",
@@ -338,6 +355,8 @@ def _assert_one_line_error(code, capsys):
         "triple-off-zero-sum",
         "repeated-point",
         "repeated-triple",
+        "overflowing-float-point",
+        "subnormal-radius",
     ],
 )
 def test_malformed_document_is_a_one_line_error(

@@ -148,12 +148,12 @@ def test_radius2_decomposition_rejects_non_integral():
 
 def test_survey_default_parameters():
     survey = candidate_coordinate_survey()
-    assert len(survey.kept) == 11
-    exact = [c for c in survey.kept if c.exact is not None]
+    assert len(survey) == 11
+    exact = [c for c in survey if c.exact is not None]
     assert len(exact) == 8
     # three sqrt branches outside the field survive as floats only
-    assert sum(1 for c in survey.kept if c.exact is None) == 3
-    values = [c.value for c in survey.kept]
+    assert sum(1 for c in survey if c.exact is None) == 3
+    values = [c.value for c in survey]
     assert values == sorted(values)
     assert all(0.0 <= v <= 1.0 for v in values)
     # frozen float embeddings of the survivors
@@ -174,7 +174,7 @@ def test_survey_default_parameters():
 
 
 def test_final_values_subset_of_candidates(ce2):
-    exact = [c.exact for c in ce2.survey.kept if c.exact is not None]
+    exact = [c.exact for c in ce2.survey if c.exact is not None]
     finals = final_coordinate_values()
     assert len(finals) == 7
     assert set(finals) <= set(exact)
@@ -371,6 +371,6 @@ def test_largest_connected_component_on_cloud(ce2):
 
 
 def test_generate_candidate_points_float_counts(ce2):
-    values = [c.value for c in ce2.survey.kept]
+    values = [c.value for c in ce2.survey]
     cloud = generate_candidate_points_float(values)
     assert cloud.n_points == 210

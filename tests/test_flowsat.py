@@ -500,24 +500,27 @@ def test_oracle_labelings_are_pinned(icosi_q, ce1_q, ce2_q):
 
 
 def test_sat_labelings_are_pinned(icosi_q, ce1_q, ce2_q):
-    """The SAT route returns these labelings; None is a refutation."""
+    """The SAT route returns these labelings, each a valid one; None is a
+    refutation."""
     pinned = [
         (icosi_q, 3, None),
         (icosi_q, 4, "4 -4 2 -2 -2 3 -3 1 -2 2 4 -1 1 1 2"),
         (icosi_q, 5, "5 -5 3 -3 -2 4 -4 1 -3 2 5 -1 1 2 2"),
         (ce1_q, 3, None),
         (ce1_q, 4, None),
-        (ce1_q, 5, "5 -3 1 2 -1 3 -4 3 -1 5 2 -2 -1 -2 4 2 -2 -3 3 1 -1 -1 1 -3 3"),
+        (ce1_q, 5, "5 -3 -3 2 -2 4 -2 -2 -4 5 -1 -1 1 -1 1 1 -1 -4 4 3 -3 1 -1 -3 3"),
         (ce2_q, 3, None),
         (ce2_q, 4, None),
-        (ce2_q, 5, "5 1 2 -1 4 -1 3 1 -2 -4 5 3 -2 -4 1 -1 3 1"),
+        (ce2_q, 5, "5 1 2 -1 4 -1 1 3 -4 -2 3 5 -4 -2 -1 1 1 3"),
     ]
     for q, k, values in pinned:
-        labeling = decide_labeling(FlowInstance(q, k))
+        inst = FlowInstance(q, k)
+        labeling = decide_labeling(inst)
         if values is None:
             assert labeling is None
         else:
             assert labeling.values == tuple(int(v) for v in values.split())
+            assert verify_labeling(labeling, inst).ok
 
 
 def test_min_flow_number_icosi(icosi_q):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereflow.constructions import SURVEY_PARAMETERS
@@ -318,8 +318,17 @@ def _load_point_set(text: str) -> None:
     pointset_from_document(PointSetDocument.from_json(text))
 
 
+def _float_document(coordinate: float) -> str:
+    payload = _small_document()
+    payload["field_tag"] = "float"
+    payload["points"][0]["floats"][0] = coordinate
+    return json.dumps(payload)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(point_set_texts(), st.text(max_size=40)))
+# its square overflows
+@example(_float_document(1.3407807929942597e154))
 def test_point_set_loader_fuzz(text):
     try:
         _load_point_set(text)
