@@ -7,12 +7,14 @@ oracle on the labeling encodings.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_flowsat import _pinned_formulas
 
 import sphereflow.constructions as constructions
 import sphereflow.solver as solver_module
@@ -514,7 +516,24 @@ def test_direct_cnf_learns_mirror_images(ce1_q, ce2_q):
         assert res.stats["decisions"] > 0 and res.stats["propagations"] > 0
 
 
-def test_support_route_learns_no_images(icosi_q, ce1, ce1_q, ce2_q, monkeypatch):
+@pytest.fixture(scope="module")
+def ce1_prune_solves(ce1) -> list[SatResult]:
+    """Every ``Solver.solve`` result of one ``unsat_preserving_prune(ce1, 4)``
+    run, in call order."""
+    results = []
+    solve = Solver.solve
+
+    def recorded_solve(self, assumptions=()):
+        results.append(solve(self, assumptions))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Solver, "solve", recorded_solve)
+        constructions.unsat_preserving_prune(ce1, 4)
+    return results
+
+
+def test_support_route_learns_no_images(icosi_q, ce1_q, ce2_q, ce1_prune_solves):
     """The sign clause of a support formula, and the guards of a guarded
     one, break the mirror symmetry: every solve that decides a labeling
     or a prune step searches without images."""
@@ -530,17 +549,39 @@ def test_support_route_learns_no_images(icosi_q, ce1, ce1_q, ce2_q, monkeypatch)
     assert [r.stats["symmetric"] for r in results] == [0] * 9
     # ce1 at k=4, refuted by the support formula
     assert results[4].stats["conflicts"] == 1655
-    solve = Solver.solve
+    assert len(ce1_prune_solves) > 20
+    assert all(r.stats["symmetric"] == 0 for r in ce1_prune_solves)
 
-    def recorded_solve(self, assumptions=()):
-        results.append(solve(self, assumptions))
-        return results[-1]
 
-    monkeypatch.setattr(Solver, "solve", recorded_solve)
-    results.clear()
-    constructions.unsat_preserving_prune(ce1, 4)
-    assert len(results) > 20
-    assert all(r.stats["symmetric"] == 0 for r in results)
+# ``_search_digest`` of the 27 pinned formulas and of the ce1 prune's solves
+PINNED_SEARCHES = "3736602fc2bc1773c4520805163fad862466a1646c2ee66314090982c1f2bdb8"
+PINNED_PRUNE_SEARCHES = (
+    "c23dff1b726d9fddefacae0213260184ae167911ef697f5dfe6bd76a2da79fa9"
+)
+
+
+def _search_digest(results) -> str:
+    """SHA-256 of each result's answer, model, core and every counter."""
+    searches = [
+        (r.satisfiable, r.model, r.core, sorted(r.stats.items())) for r in results
+    ]
+    return hashlib.sha256(repr(searches).encode()).hexdigest()
+
+
+def test_search_is_pinned(icosi_q, ce1_q, ce2_q, ce1_prune_solves):
+    """The answer, model, core and every ``stats`` counter of two sets of
+    searches are pinned: the 27 formulas of ``test_formula_bytes_are_pinned``
+    solved once each, and every solve of the ce1 prune at k=4.  A change
+    to the solver that is meant to leave the search alone must keep both
+    digests."""
+    formulas = [
+        f
+        for q in (icosi_q, ce1_q, ce2_q)
+        for k in (3, 4, 5)
+        for f in _pinned_formulas(q, k)
+    ]
+    assert _search_digest(map(sat_solve, formulas)) == PINNED_SEARCHES
+    assert _search_digest(ce1_prune_solves) == PINNED_PRUNE_SEARCHES
 
 
 def test_stats_count_each_solve():
