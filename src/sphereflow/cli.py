@@ -36,7 +36,6 @@ from .flows import (
     verify_labeling,
 )
 from .formats import (
-    DocumentError,
     RunReport,
     WitnessDocument,
     document_from_pointset,
@@ -48,7 +47,6 @@ from .formats import (
 )
 from .geometry import PointSet
 from .quotient import (
-    StructureError,
     classify_edge_orbits,
     extract_cubic_graph,
     is_isomorphic_to,
@@ -366,13 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConstructionError,
-        DocumentError,
-        StructureError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ConstructionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -28,9 +28,14 @@ per class of mirror triples.  On
 the blocking clauses alone unit propagation only forward-checks; with
 the support clauses it is arc-consistent on every triple (Gent, "Arc
 consistency in SAT", ECAI 2002), and ce1 at k=4 takes 3101 conflicts
-instead of 8698.  A support formula already holds every resolvent, so
-it gains none and searches as before.  Resolvents are implied by the
-formula, so models and cores keep their meaning.
+instead of 8698.  An unguarded support formula already holds every
+resolvent, so it gains none and searches as before.  A guarded one gains
+none at k = 3; at k >= 4 its sign clause is a nucleus of k literals, and
+resolving it against the guarded ternaries derives a few clauses of two
+and three literals (8 for icosi and ce2, 16 for ce1), each with one
+negated selector and no positive literal outside the sign clause.
+Resolvents are implied by the formula, so models and cores keep their
+meaning.
 
 Last the load tries one symmetry σ: it reverses each nucleus when the
 nuclei are all-positive and share no variable, and fixes every other
@@ -203,11 +208,7 @@ def hyper_resolvents(
     for nucleus in nuclei:
         # A literal with no side clause leaves every residual unmet; two
         # of them leave nothing to derive.
-        bare = 0
-        for c in nucleus:
-            if not terns[-c]:
-                bare += 1
-        if bare > 1:
+        if sum(not terns[-c] for c in nucleus) > 1:
             continue
         # residual -> [number of c meeting it, sum of those c]
         met: dict[tuple[int, int], list[int]] = {}
@@ -285,12 +286,13 @@ class Solver:
         # are those of the formula without the repeats.  The keys are
         # sorted tuples, far smaller than frozensets.
         first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        clauses = formula.clauses
-        for key, clause in zip(map(tuple, map(sorted, map(set, clauses))), clauses):
-            first.setdefault(key, clause)
         # the clauses of two or more literals, in load order
         loaded: list[Sequence[int]] = []
-        for key, clause in first.items():
+        clauses = formula.clauses
+        for key, clause in zip(map(tuple, map(sorted, map(set, clauses))), clauses):
+            if key in first:
+                continue
+            first[key] = clause
             # A key as long as its clause, of one sign, has no repeated
             # literal and no complementary pair to look for.
             if len(key) == len(clause) and key and (key[0] > 0 or key[-1] < 0):
@@ -327,7 +329,8 @@ class Solver:
         del first
         # Binary clauses sit on full occurrence lists, which need no upkeep
         # when assignments change.  Every longer clause, loaded, resolvent,
-        # learned or image, is watched by its first two literals.  The lists
+        # learned or image, is watched by its first two literals.  A unit
+        # needs neither: its literal sits on the trail at level 0.  The lists
         # are made only once the keys are freed, so the load peaks lower.
         bins: list[list[int]] = [[] for _ in range(size)]
         watch: list[list[list[int]]] = [[] for _ in range(size)]
@@ -336,7 +339,7 @@ class Solver:
             if len(c) == 2:
                 bins[c[0]].append(c[1])
                 bins[c[1]].append(c[0])
-            else:
+            elif len(c) > 2:
                 watch[c[0]].append(c)
                 watch[c[1]].append(c)
 
@@ -348,7 +351,8 @@ class Solver:
         neg = [-v for v in range(n + 1)] + list(range(n, 0, -1))
         level = [0] * (n + 1)
         # the clause that implied each variable, implied literal included;
-        # empty for decisions and level-0 units
+        # empty for decisions and the formula's units.  No search reads the
+        # reason of a level-0 variable.
         reason: list[Sequence[int]] = [()] * (n + 1)
         trail: list[int] = []
         trail_lim: list[int] = []  # trail length at each decision
@@ -444,7 +448,14 @@ class Solver:
                 bump *= 1e-100
 
         def analyze(conflict: Sequence[int]) -> tuple[list[int], int]:
-            """First-UIP learned clause and the level to jump back to."""
+            """First-UIP learned clause and the level to jump back to.
+
+            The clause starts with the negated UIP, which the backjump
+            frees and the clause then forces.  Its second literal has the
+            highest level among the rest, the level jumped back to, so the
+            clause watches the false literal that a later backjump frees
+            first.  A unit jumps back to level 0.
+            """
             learned: list[int] = []
             seen = [False] * (n + 1)
             counter = 0
@@ -477,15 +488,9 @@ class Solver:
             learned.insert(0, neg[p])
             if len(learned) == 1:
                 return learned, 0
-            back = 0
-            pos = 1
-            for i in range(1, len(learned)):
-                lv = level[abs(learned[i])]
-                if lv > back:
-                    back, pos = lv, i
-            # watch a backjump-level literal so the clause wakes up correctly
+            pos = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
             learned[1], learned[pos] = learned[pos], learned[1]
-            return learned, back
+            return learned, level[abs(learned[1])]
 
         def analyze_final(p: int) -> tuple[int, ...]:
             """The assumptions that force assumption ``p`` false, ``p`` first.
@@ -514,9 +519,10 @@ class Solver:
 
             ``c`` is sorted so that it watches its two best literals:
             non-false ones first, then false ones from the highest level
-            down.  When only ``c[0]`` is unassigned, it is enqueued.  When
-            every literal is false, ``c`` is returned as a conflict, after a
-            backjump to the level of ``c[0]``; otherwise () is returned.
+            down.  When ``c[0]`` is unassigned and ``c`` is a unit or
+            ``c[1]`` is false, ``c[0]`` is enqueued.  When every literal is
+            false, ``c`` is returned as a conflict, after a backjump to the
+            level of ``c[0]``; otherwise () is returned.
             """
             top = len(trail_lim) + 1  # above the level of any false literal
             c.sort(
@@ -529,17 +535,21 @@ class Solver:
                 if lv < len(trail_lim):
                     backjump(lv)
                 return c
-            if v0 == 0 and val[c[1]] < 0:
+            if v0 == 0 and (len(c) == 1 or val[c[1]] < 0):
                 enqueue(c[0], c)
             return ()
 
+        # the trail position that propagation resumes from
+        head = 0
         # literals unassigned by backjumps, which with the trail's length
         # counts the literals a search assigns
         dropped = 0
 
         def backjump(to_level: int) -> None:
-            nonlocal dropped
-            mark = trail_lim[to_level]
+            """Unassign every level above ``to_level``, saving each phase,
+            and resume propagation where the trail is cut."""
+            nonlocal dropped, head
+            mark = head = trail_lim[to_level]
             dropped += len(trail) - mark
             for lit in trail[mark:]:
                 var = lit if lit > 0 else -lit
@@ -551,14 +561,13 @@ class Solver:
             del trail_lim[to_level:]
 
         def search(assumptions: tuple[int, ...]) -> SatResult:
-            nonlocal bump, ok
+            nonlocal bump, ok, head
             stats = dict.fromkeys(_STATS, 0)
             if not ok:
                 return SatResult(False, None, stats=stats)
             if trail_lim:
                 backjump(0)
-            head = len(trail)
-            base = head + dropped
+            base = len(trail) + dropped
 
             def result(
                 satisfiable: bool,
@@ -585,27 +594,15 @@ class Solver:
                             return result(False)
                         learned, back = analyze(conflict)
                         backjump(back)
-                        head = len(trail)
                         stats["learned"] += 1
+                        add_clause(learned)
+                        enqueue(learned[0], learned)
                         conflict = ()
-                        if len(learned) == 1:
-                            unit = learned[0]
-                            if not enqueue(unit, ()):
-                                ok = False
-                                return result(False)
-                            if mirror and mirror[unit] != unit:
+                        if mirror:
+                            image = [mirror[lit] for lit in learned]
+                            if set(image) != set(learned):
                                 stats["symmetric"] += 1
-                                if not enqueue(mirror[unit], ()):
-                                    ok = False
-                                    return result(False)
-                        else:
-                            add_clause(learned)
-                            enqueue(learned[0], learned)
-                            if mirror:
-                                image = [mirror[lit] for lit in learned]
-                                if set(image) != set(learned):
-                                    stats["symmetric"] += 1
-                                    conflict = attach_image(image)
+                                conflict = attach_image(image)
                         bump /= _ACTIVITY_DECAY
                     if stats["conflicts"] >= restart_budget:
                         stats["restarts"] += 1
@@ -615,7 +612,6 @@ class Solver:
                         )
                         if trail_lim:
                             backjump(0)
-                            head = len(trail)
                 # Assumptions are decided first, one level each; one that
                 # already holds gets an empty level so levels stay aligned.
                 lv = len(trail_lim)
@@ -641,8 +637,9 @@ class Solver:
         for u in units:
             if not enqueue(u, ()):
                 ok = False
-        if ok and propagate(0)[1]:
-            ok = False
+        if ok:
+            head, conflict = propagate(0)
+            ok = not conflict
         self._search = search
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:

@@ -208,6 +208,28 @@ def test_resolvents_of_the_direct_cnf_are_the_support_clauses(
             assert _resolvents(support) == []
 
 
+def test_guarded_formulas_derive_through_the_sign_clause(icosi_q, ce1_q, ce2_q):
+    """A guarded support formula gains no resolvent at k=3.  From k=4 on
+    its sign clause has k literals, so it is a nucleus too, and the
+    guarded ternaries on its negated literals give clauses of two and
+    three literals, each with one negated selector and no positive
+    literal outside the sign clause."""
+    for q, count in ((icosi_q, 8), (ce1_q, 16), (ce2_q, 8)):
+        for k in (3, 4, 5):
+            guarded = encode_support(q.n_reps, q.class_triples, k, guarded=True)
+            found = _resolvents(guarded)
+            if k == 3:
+                assert found == []
+                continue
+            assert len(found) == count
+            assert {len(c) for c in found} == {2, 3}
+            selector = q.n_reps * 2 * k + 1  # the lowest selector variable
+            sign = set(guarded.clauses[-1])
+            for c in found:
+                assert sum(lit <= -selector for lit in c) == 1
+                assert {lit for lit in c if lit > 0} <= sign
+
+
 def test_resolvent_rule_on_small_clauses():
     # (1 | 2 | 3 | 4) with -1, -2, -3 each beside (5 | 6), and -4 beside
     # nothing: (5 | 6 | 4) follows.  With -4 beside (5 | 6) too, (5 | 6).
