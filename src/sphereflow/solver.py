@@ -2,7 +2,7 @@
 
 ``Solver`` is a conflict-driven search: first-UIP clause learning
 (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), activity-based
-branching, phase saving and Luby restarts.  It decides one formula under
+branching and phase saving.  It decides one formula under
 successive sets of assumption literals, keeping what it learned, and
 explains each refuted set by the assumptions it used; ``sat_solve`` is
 the one-shot form.  Binary clauses are propagated from occurrence
@@ -28,13 +28,14 @@ are exactly the support clauses of ``flows.encode_support``, 3·(2k)²
 per class of mirror triples.  On
 the blocking clauses alone unit propagation only forward-checks; with
 the support clauses it is arc-consistent on every triple (Gent, "Arc
-consistency in SAT", ECAI 2002), and ce1 at k=4 takes 3101 conflicts
-instead of 8698.  An unguarded support formula already holds every
-resolvent, so it gains none and searches as before.  A guarded one gains
-none at k = 3; at k >= 4 its sign clause is a nucleus of k literals, and
-resolving it against the guarded ternaries derives a few clauses of two
-and three literals (8 for icosi and ce2, 16 for ce1), each with one
-negated selector and no positive literal outside the sign clause.
+consistency in SAT", ECAI 2002), and ce1 at k=4, without the mirror
+images below, takes 3121 conflicts instead of 7361.  An unguarded
+support formula already holds every resolvent, so it gains none and
+searches as before.  A guarded one gains none at k = 3; at k >= 4 its
+sign clause is a nucleus of k literals, and resolving it against the
+guarded ternaries derives a few clauses of two and three literals (8
+for icosi and ce2, 16 for ce1), each with one negated selector and no
+positive literal outside the sign clause.
 Resolvents are implied by the formula, so models and cores keep their
 meaning.
 
@@ -44,7 +45,7 @@ load watches none of them (subsumption after hyper-resolution, as
 Bacchus & Winter pair them; Eén & Biere, SAT 2005).  On the direct CNF
 these are the blocking clauses of each value pair whose third value is
 out of range, 8120 of ce1's 9520 distinct blocking clauses at k=4, and
-its search makes 0.91M watch visits instead of 1.53M.  They stay in
+its search makes 0.88M watch visits instead of 1.50M.  They stay in
 ``formula``, so every model is still checked against them and σ is
 still tried on them.  No propagation is lost: a literal's binaries are
 propagated before its watch list is read, so once x or y is false and
@@ -52,13 +53,10 @@ processed, (x | y) has implied the other or found the conflict, and a
 side clause implies nothing more.  The side clause could only have
 implied the same literal sooner, while the false one of x and y still
 waited on the trail, and so a search may assign a few literals fewer
-before a conflict.  Of the 27 pinned formulas, only ce1 at k=4 on the
-direct CNF searched differently: 98483 literals assigned instead of
-98486, with the same conflicts, learned clauses and answer.  An
-unguarded support formula derives nothing, so it skips nothing; a
-guarded one skips, from k=4 on, the few ternaries (16 or 20 for icosi
-and ce2, 32 or 40 for ce1) that a binary derived through its sign
-clause subsumes.
+before a conflict.  An unguarded support formula derives nothing, so
+it skips nothing; a guarded one skips, from k=4 on, the few ternaries
+(16 or 20 for icosi and ce2, 32 or 40 for ce1) that a binary derived
+through its sign clause subsumes.
 
 Last the load tries one symmetry σ: it reverses each nucleus when the
 nuclei are all-positive and share no variable, and fixes every other
@@ -68,7 +66,7 @@ negation.  σ is kept only if it maps every original clause onto one;
 then the search adds the image σ(C) of each clause C it learns
 (symmetric learning; Benhamou, Nabhani, Ostrowski & Saïdi, ICTAI 2010;
 Devriendt, Bogaerts & Bruynooghe, SAT 2017), and refutes each region
-once instead of once per sign: ce1 at k=4 takes 1423 conflicts.  The
+once instead of once per sign: ce1 at k=4 takes 1329 conflicts.  The
 formula implies C and σ maps it onto itself, so it implies σ(C) too,
 and models and cores keep their meaning.  The clause database stays
 closed under σ, so each image is RUP, derivable by unit propagation
@@ -175,7 +173,7 @@ class SatResult:
     ``stats`` counts the work of the ``solve`` call that made it:
     conflicts, decisions, propagations (literals assigned, decisions
     included), learned clauses, mirror images of learned clauses added
-    (``symmetric``) and restarts.  It takes no part in equality.
+    (``symmetric``).  It takes no part in equality.
     """
 
     satisfiable: bool
@@ -283,22 +281,7 @@ def hyper_resolvents(
 
 _ACTIVITY_DECAY = 0.95
 # the counters of ``SatResult.stats``
-_STATS = ("conflicts", "decisions", "propagations", "learned", "symmetric", "restarts")
-_RESTART_UNIT = 100
-
-
-def _luby(i: int) -> int:
-    """The Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed)."""
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
+_STATS = ("conflicts", "decisions", "propagations", "learned", "symmetric")
 
 
 class Solver:
@@ -636,8 +619,6 @@ class Solver:
                 return SatResult(satisfiable, model, core, stats)
 
             n_assumed = len(assumptions)
-            restart_idx = 1
-            restart_budget = _luby(1) * _RESTART_UNIT
             while True:
                 while True:
                     head, conflict = propagate(head)
@@ -662,14 +643,6 @@ class Solver:
                                 stats["symmetric"] += 1
                                 conflict = attach_image(image)
                         bump /= _ACTIVITY_DECAY
-                    if stats["conflicts"] >= restart_budget:
-                        stats["restarts"] += 1
-                        restart_idx += 1
-                        restart_budget = (
-                            stats["conflicts"] + _luby(restart_idx) * _RESTART_UNIT
-                        )
-                        if trail_lim:
-                            backjump(0)
                 # Assumptions are decided first, one level each; one that
                 # already holds gets an empty level so levels stay aligned.
                 lv = len(trail_lim)

@@ -154,7 +154,7 @@ def _pigeonhole(pigeons: int, holes: int) -> CnfFormula:
 
 def test_solver_refutes_pigeonhole():
     # Five pigeons in four holes: small enough to stay fast, hard enough
-    # to generate conflicts and restarts.
+    # to take many conflicts and backjumps.
     assert not sat_solve(_pigeonhole(5, 4)).satisfiable
 
 
@@ -630,9 +630,9 @@ def test_nearly_mirrored_formula_learns_no_images(seed):
 def test_direct_cnf_learns_mirror_images(ce1_q, ce2_q):
     """The direct CNF is invariant under negating every value, so each
     learned clause comes with its image, unless the symmetry maps it onto
-    itself (one clause on ce1), and the refutations at k=4 take far fewer
-    conflicts than the 3101 and 1097 of a search without."""
-    for q, conflicts, images in ((ce1_q, 1423, 1421), (ce2_q, 499, 498)):
+    itself, and the refutations at k=4 take far fewer conflicts than the
+    3121 and 1086 of a search without."""
+    for q, conflicts, images in ((ce1_q, 1329, 1328), (ce2_q, 459, 458)):
         res = sat_solve(encode_nzk(FlowInstance(q, 4)))
         assert not res.satisfiable
         assert res.stats["conflicts"] == conflicts
@@ -641,9 +641,8 @@ def test_direct_cnf_learns_mirror_images(ce1_q, ce2_q):
         assert res.stats["decisions"] > 0 and res.stats["propagations"] > 0
 
 
-@pytest.fixture(scope="module")
-def ce1_prune_solves(ce1) -> list[SatResult]:
-    """Every ``Solver.solve`` result of one ``unsat_preserving_prune(ce1, 4)``
+def _prune_solves(ps) -> list[SatResult]:
+    """Every ``Solver.solve`` result of one ``unsat_preserving_prune(ps, 4)``
     run, in call order."""
     results = []
     solve = Solver.solve
@@ -654,11 +653,24 @@ def ce1_prune_solves(ce1) -> list[SatResult]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Solver, "solve", recorded_solve)
-        constructions.unsat_preserving_prune(ce1, 4)
+        constructions.unsat_preserving_prune(ps, 4)
     return results
 
 
-def test_support_route_learns_no_images(icosi_q, ce1_q, ce2_q, ce1_prune_solves):
+@pytest.fixture(scope="module")
+def ce1_prune_solves(ce1) -> list[SatResult]:
+    return _prune_solves(ce1)
+
+
+@pytest.fixture(scope="module")
+def ce2_prune_solves(ce2) -> list[SatResult]:
+    """The solves of the prune that ``build_second_counterexample`` runs."""
+    return _prune_solves(ce2.component)
+
+
+def test_support_route_learns_no_images(
+    icosi_q, ce1_q, ce2_q, ce1_prune_solves, ce2_prune_solves
+):
     """The sign clause of a support formula, and the guards of a guarded
     one, break the mirror symmetry: every solve that decides a labeling
     or a prune step searches without images."""
@@ -673,19 +685,20 @@ def test_support_route_learns_no_images(icosi_q, ce1_q, ce2_q, ce1_prune_solves)
             decide_labeling(FlowInstance(q, k), recorded)
     assert [r.stats["symmetric"] for r in results] == [0] * 9
     # ce1 at k=4, refuted by the support formula
-    assert results[4].stats["conflicts"] == 1655
+    assert results[4].stats["conflicts"] == 1414
     assert len(ce1_prune_solves) > 20
-    assert all(r.stats["symmetric"] == 0 for r in ce1_prune_solves)
+    prune_solves = ce1_prune_solves + ce2_prune_solves
+    assert all(r.stats["symmetric"] == 0 for r in prune_solves)
 
 
-# ``_search_digest`` of the 27 pinned formulas and of the ce1 prune's solves.
-# Leaving the clauses that a derived binary subsumes unwatched changed one
-# counter of the first: ce1 k=4 on the direct CNF assigns 98483 literals, not
-# 98486, as twice a conflict is now found before a subsumed ternary would
-# have implied a literal that its binary had yet to reach.
-PINNED_SEARCHES = "2dba268b84faa37aa21131734829c45b8003597a6e3e68ff6531e4ba6952cd24"
+# ``_search_digest`` of the 27 pinned formulas, of the ce1 prune's solves
+# and of the ce2 prune's solves.
+PINNED_SEARCHES = "0ec082a28cee346f2fc527b600341cdb67797ee5c13d8c65f0fe4e5ef9618ce0"
 PINNED_PRUNE_SEARCHES = (
-    "c23dff1b726d9fddefacae0213260184ae167911ef697f5dfe6bd76a2da79fa9"
+    "00ca055162b6d496dae45075f8ad92e2924cbf678632ba42e5addae3498d6736"
+)
+PINNED_CE2_PRUNE_SEARCHES = (
+    "a7bec0b23223d7cdc5ea3fa0f8afa15766a9e70dfdfa21b6bc48cc1b90045c7a"
 )
 
 
@@ -697,20 +710,37 @@ def _search_digest(results) -> str:
     return hashlib.sha256(repr(searches).encode()).hexdigest()
 
 
-def test_search_is_pinned(icosi_q, ce1_q, ce2_q, ce1_prune_solves):
-    """The answer, model, core and every ``stats`` counter of two sets of
+def _assert_searches_pinned(searches, pinned: str) -> None:
+    """The digest of the (label, result) pairs' results is the gate; its
+    message gives each label, answer and conflicts, to show which moved."""
+    table = "\n".join(
+        f"{label}: {'SAT' if r.satisfiable else 'UNSAT'}, "
+        f"{r.stats['conflicts']} conflicts"
+        for label, r in searches
+    )
+    assert _search_digest(r for _, r in searches) == pinned, f"searches:\n{table}"
+
+
+def test_search_is_pinned(icosi_q, ce1_q, ce2_q, ce1_prune_solves, ce2_prune_solves):
+    """The answer, model, core and every ``stats`` counter of three sets of
     searches are pinned: the 27 formulas of ``test_formula_bytes_are_pinned``
-    solved once each, and every solve of the ce1 prune at k=4.  A change
-    to the solver that is meant to leave the search alone must keep both
-    digests."""
-    formulas = [
-        f
-        for q in (icosi_q, ce1_q, ce2_q)
+    solved once each, and every solve of the ce1 and of the ce2 prune at
+    k=4.  A change to the solver that is meant to leave the search alone
+    must keep every digest; one that moves a search shows each of its
+    set's labels, answers and conflicts."""
+    pinned = [
+        (f"{name} k={k} {encoding}", sat_solve(f))
+        for name, q in (("icosi", icosi_q), ("ce1", ce1_q), ("ce2", ce2_q))
         for k in (3, 4, 5)
-        for f in _pinned_formulas(q, k)
+        for encoding, f in zip(("direct", "support", "guarded"), _pinned_formulas(q, k))
     ]
-    assert _search_digest(map(sat_solve, formulas)) == PINNED_SEARCHES
-    assert _search_digest(ce1_prune_solves) == PINNED_PRUNE_SEARCHES
+    _assert_searches_pinned(pinned, PINNED_SEARCHES)
+    for name, solves, digest in (
+        ("ce1", ce1_prune_solves, PINNED_PRUNE_SEARCHES),
+        ("ce2", ce2_prune_solves, PINNED_CE2_PRUNE_SEARCHES),
+    ):
+        labeled = [(f"{name} prune solve {i}", r) for i, r in enumerate(solves)]
+        _assert_searches_pinned(labeled, digest)
 
 
 def test_stats_count_each_solve():
@@ -719,7 +749,7 @@ def test_stats_count_each_solve():
     solver = Solver(_pigeonhole(5, 4))
     first, second = solver.solve(), solver.solve()
     assert set(first.stats) == {
-        "conflicts", "decisions", "propagations", "learned", "symmetric", "restarts"
+        "conflicts", "decisions", "propagations", "learned", "symmetric"
     }
     assert first.stats["symmetric"] > 0
     # the first solve refutes the formula, and the second starts its
