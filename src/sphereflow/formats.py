@@ -90,7 +90,7 @@ def _json_object(text: str, what: str) -> Mapping:
     """Parse text as a JSON object, raising DocumentError otherwise."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise DocumentError(f"{what} is nested too deeply") from None

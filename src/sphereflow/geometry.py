@@ -238,7 +238,8 @@ def find_zero_sum_triples(ps: PointSet) -> tuple[Triple, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cross_exact(a: ExactCoords, b: ExactCoords) -> ExactCoords:
+def _cross(a, b):
+    """Cross product of exact or float coordinates."""
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -268,7 +269,7 @@ def small_circle_intersection(
     if gamma is None or gamma.is_zero:
         raise ValueError("small circles do not cross in two points of the field")
     mid = tuple(alpha * (a[i] + b[i]) for i in range(3))
-    w = _cross_exact(a, b)
+    w = _cross(a, b)
     plus = tuple(mid[i] + gamma * w[i] for i in range(3))
     minus = tuple(mid[i] - gamma * w[i] for i in range(3))
     return (SpherePoint.from_exact(plus), SpherePoint.from_exact(minus))

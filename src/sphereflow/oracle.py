@@ -9,10 +9,15 @@ Each constraint is filtered once: a triple and its global sign flip
 (Σ s·v = 0 exactly when Σ -s·v = 0) are one constraint, and only the
 first of them is kept.  The oracle finds these pairs itself, so it does
 not lean on the quotient's mirror classes that the SAT route uses.
-Domains are integer bitmasks, one bit per value, for integer and modular
-problems alike, so the values a triple's other two members can reach
-are a few shift-ORs (arc consistency on word-sized domains, Lecoutre &
-Vion, Constraint Programming Letters 2, 2008).
+Domains are integer bitmasks with bit v mod m for value v, so the
+values a triple's other two members can reach are a few shift-ORs (arc
+consistency on word-sized domains, Lecoutre & Vion, Constraint
+Programming Letters 2, 2008).  An integer problem with values in -M..M
+is decided as the modular problem mod m = 3M + 1 (masks of 13 bits at
+k = 4): no two values share a residue, and a signed sum of three values
+is at most 3M < m in size, so it vanishes exactly when it does mod m.
+This is arithmetic on one sum, not Tutte's equivalence of Z_k- and
+integer k-flows, which holds on graphs only.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ class CspProblem:
     the integers; otherwise the sum must vanish mod ``modulus``, and no
     two domain values may share a residue.  A triple's three members are
     distinct variables, as in every antipodal quotient.
+
+    ``csp_solve`` decides an integer problem as the modular one mod
+    3*max|v| + 1, where no two values collide and no three-term sum
+    wraps around; its masks are that many bits wide.  This reduction is
+    not Tutte's equivalence of Z_k- and integer k-flows.  ``sum_ok``
+    checks plain integer sums, independently of it.
     """
 
     n_vars: int
@@ -80,27 +91,19 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
     domain (ties by index) with values in ascending order.  A variable
     no triple constrains takes its smallest value.
     """
-    m = problem.modulus
     values = sorted(set(problem.domain))
-    # Bit p of a domain stands for the value at position p: v - lo over
-    # the integers, the residue v mod m in a modular problem.  The bits of
-    # a negated domain -D sit at positions -v - neg_lo.
-    if m is None:
-        lo, neg_lo = values[0], -values[-1]
-        width = values[-1] - lo + 1
-    else:
-        lo = neg_lo = 0
-        width = m
-    bit = {v: 1 << (v - lo if m is None else v % m) for v in values}
-    full = sum(bit.values())  # the positions are distinct
+    # Bit v % m of a domain stands for the value v (module docstring).
+    m = problem.modulus or 3 * max(map(abs, values)) + 1
+    bit = {v: 1 << v % m for v in values}
+    full = sum(bit.values())  # the residues are distinct
     negated: dict[int, int] = {}
 
     def negate(d: int) -> int:
         r = negated.get(d)
         if r is None:
-            r = int(format(d, f"0{width}b")[::-1], 2)
-            if m is not None:  # residue v sits at m-1-v; move it to (m-v) % m
-                r = ((r << 1) | (r >> (m - 1))) & ((1 << m) - 1)
+            # reversing m bits puts residue v at m-1-v; move it to (m-v) % m
+            r = int(format(d, f"0{m}b")[::-1], 2)
+            r = ((r << 1) | (r >> (m - 1))) & ((1 << m) - 1)
             negated[d] = r
         return r
 
@@ -109,15 +112,13 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
         first.setdefault(_mirror_key(t), t)
     triples = list(first.values())
     # Member r needs v_r in c_a*D_a + c_b*D_b, where c = -s_r * s for the
-    # other two members; c = -1 reads the negated domain.  Shifting the
-    # sum's bits by ``shift`` puts them at the positions of D_r.
+    # other two members; c = -1 reads the negated domain.
     revisions = []
     for t in triples:
         slots = []
         for i, j, h in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             (r, s), (a, sa), (b, sb) = t[i], t[j], t[h]
-            shift = (neg_lo if s == sa else lo) + (neg_lo if s == sb else lo) - lo
-            slots.append((r, a, s == sa, b, s == sb, shift))
+            slots.append((r, a, s == sa, b, s == sb))
         revisions.append(slots)
     by_var: dict[int, list[int]] = {}
     for ti, t in enumerate(triples):
@@ -131,7 +132,7 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
         became empty.
         """
         changed: list[int] = []
-        for r, a, flip_a, b, flip_b, shift in revisions[ti]:
+        for r, a, flip_a, b, flip_b in revisions[ti]:
             da = negate(domains[a]) if flip_a else domains[a]
             db = negate(domains[b]) if flip_b else domains[b]
             reach = 0
@@ -139,9 +140,7 @@ def csp_solve(problem: CspProblem) -> Optional[tuple[int, ...]]:
                 low = da & -da
                 reach |= db << (low.bit_length() - 1)
                 da ^= low
-            reach = reach << shift if shift >= 0 else reach >> -shift
-            if m is not None:
-                reach |= reach >> m
+            reach |= reach >> m
             keep = domains[r] & reach
             if keep != domains[r]:
                 if not keep:

@@ -14,7 +14,7 @@ import hashlib
 import math
 from typing import Mapping, Optional
 
-from .geometry import PointSet
+from .geometry import PointSet, _cross
 from .quotient import AntipodalQuotient
 
 __all__ = ["render_svg", "witness_point_labels"]
@@ -68,14 +68,6 @@ def _view_rotation(ps: PointSet) -> tuple[tuple[float, ...], ...]:
 
 def _apply(m: tuple[tuple[float, ...], ...], v: tuple[float, ...]):
     return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _fmt(x: float) -> str:

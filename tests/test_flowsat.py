@@ -480,6 +480,35 @@ def test_oracle_answer_ignores_repeated_and_flipped_triples(seed, modular):
         assert all(v in domain for v in answer)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    domain=st.sets(st.integers(min_value=-3, max_value=3), min_size=1),
+)
+def test_integer_problem_is_the_modular_one_mod_3m_plus_1(seed, domain):
+    """With values in -M..M, a three-term signed sum is at most 3M in
+    size, so the integer problem and the problem mod 3M + 1 have the
+    same answer, for domains with 0 and asymmetric ones alike."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    triples = tuple(
+        tuple((r, rng.choice((-1, 1))) for r in rng.sample(range(n), 3))
+        for _ in range(rng.randint(0, 6))
+    )
+    problem = CspProblem(n, triples, tuple(sorted(domain)))
+    bound = max(map(abs, domain))
+    modular = replace(problem, modulus=max(2, 3 * bound + 1))
+    assert csp_solve(problem) == csp_solve(modular)
+
+
+def test_ce2_is_decided_alike_mod_3k_plus_1(ce2_q):
+    for k in (4, 5):
+        problem = CspProblem(ce2_q.n_reps, ce2_q.oriented_triples, value_slots(k))
+        answer = csp_solve(problem)
+        assert (answer is None) == (k == 4)
+        assert csp_solve(replace(problem, modulus=3 * k + 1)) == answer
+
+
 def test_csp_problem_validation():
     with pytest.raises(ValueError, match="distinct members"):
         CspProblem(2, (((0, 1), (0, -1), (1, 1)),), (1, 2))

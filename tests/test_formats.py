@@ -219,6 +219,19 @@ def test_witness_document_malformed():
         WitnessDocument.from_json('{"k": 4, "values": ["a"]}')
 
 
+def test_huge_json_integer_is_a_document_error(icosi):
+    # json.loads raises a bare ValueError past CPython's 4300-digit limit
+    huge = "9" * 5000
+    doc = json.loads(document_from_pointset(icosi, "icosi", {}).to_json())
+    doc["schema_version"] = 0
+    text = json.dumps(doc).replace('"schema_version": 0', f'"schema_version": {huge}')
+    with pytest.raises(DocumentError, match="point-set document is not valid JSON"):
+        PointSetDocument.from_json(text)
+    text = f'{{"schema_version": {huge}, "k": 4, "values": [1], "instance": "icosi"}}'
+    with pytest.raises(DocumentError, match="witness document is not valid JSON"):
+        WitnessDocument.from_json(text)
+
+
 def test_run_report_serialization():
     rep = RunReport(
         instance="icosi",
